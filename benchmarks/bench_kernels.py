@@ -38,6 +38,8 @@ SIZE = 256
 #: Schema tag of the --json report; bump on layout changes.
 #: v2: per-worker-count rows for the "parallel" backend ("workers" key),
 #: with parallel-efficiency and vs-bitplane speedup annotations.
+#: "bitplane" rows also carry "collide_ops", the full-plane ops one
+#: collide makes (an added key: v2 readers ignore it).
 SCHEMA = "repro/bench-kernels/v2"
 
 
@@ -195,6 +197,8 @@ def measure_backend(
     }
     if workers is not None:
         rec["workers"] = workers
+    if backend == "bitplane":
+        rec["collide_ops"] = stepper.kernel.collide_ops
     return rec
 
 

@@ -13,11 +13,13 @@ paper's bit-serial PE arrays.
 
 The collision logic is **derived mechanically** from the verified
 :class:`repro.lgca.collision.CollisionTable`: every state ``s`` the table
-changes contributes one *flip term* — the minterm recognizing ``s``
-ANDed across planes, XOR-ed into every output channel in
-``s ^ table[s]``.  Minterms of distinct states are disjoint, so the
-compiled expression computes exactly the table; construction re-checks
-this by evaluating the compiled logic over all ``2^C`` states
+changes contributes one *flip term* (``s`` and the channels
+``s ^ table[s]``).  :func:`compile_network` groups the terms by flip
+set, merges each group's states into cubes, and emits one straight-line
+program of full-plane ops (a :class:`CollisionNetwork`) that writes each
+output channel as an XOR chain over the groups flipping it.  The kernel
+runs that program over cache-sized row blocks; construction re-checks
+it by running the same program over all ``2^C`` states
 (:func:`verify_plane_logic`).  Any conserving rule set — HPP, the FHP
 chirality variants, the collision-saturated tables — compiles this way.
 
@@ -29,6 +31,8 @@ kernel preserves it.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import sys
 from dataclasses import dataclass
 
@@ -55,6 +59,9 @@ __all__ = [
     "FlipTerm",
     "flip_terms",
     "split_chirality_terms",
+    "BLOCK_BYTES",
+    "CollisionNetwork",
+    "compile_network",
     "verify_plane_logic",
     "BitplaneKernel",
 ]
@@ -317,54 +324,315 @@ def split_chirality_terms(
     return tuple(common), tuple(only_left), tuple(only_right)
 
 
-def _accumulate_flips(
-    terms: tuple[FlipTerm, ...],
-    planes: np.ndarray,
-    comps: np.ndarray,
-    acc: np.ndarray,
-    scratch: np.ndarray,
-) -> None:
-    """OR every term's minterm into the flip planes of its channels.
+# -- the collision network ----------------------------------------------------
 
-    ``planes``/``comps``/``acc`` are ``(C, rows, W)``; ``scratch`` is one
-    ``(rows, W)`` plane.  The first factor is always a positive literal,
-    which keeps tail padding clear throughout.
+#: Bytes of one plane's row block: 256 rows at 2048 columns.  The
+#: network runs block by block, so the input, output, mask and temporary
+#: planes of a block (31 of them, about 2 MiB, for FHP-7) stay in L2
+#: across the program's passes.
+BLOCK_BYTES = 64 * 1024
+
+#: Mask registers after the ``2·C`` input and output planes.
+_LEFT, _RIGHT, _SOLID, _NOT_SOLID = range(4)
+_NUM_MASKS = 4
+
+#: A product term ``(value, care)``: it covers state ``s`` iff
+#: ``s & care == value``; channels outside ``care`` are don't-cares.
+Cube = tuple[int, int]
+
+
+def _prime_implicants(states: set[int], num_channels: int) -> list[Cube]:
+    """Quine–McCluskey: the cubes of ``states`` no larger cube contains."""
+    full = (1 << num_channels) - 1
+    level = {(s, full) for s in states}
+    primes: set[Cube] = set()
+    while level:
+        merged: set[Cube] = set()
+        used: set[Cube] = set()
+        for (v1, c1), (v2, c2) in itertools.combinations(sorted(level), 2):
+            diff = v1 ^ v2
+            if c1 == c2 and diff & (diff - 1) == 0:
+                merged.add((v1 & ~diff, c1 & ~diff))
+                used.update(((v1, c1), (v2, c2)))
+        primes |= level - used
+        level = merged
+    return sorted(primes)
+
+
+def _minimum_cover(on: set[int], dont_care: set[int], num_channels: int) -> list[Cube]:
+    """Exact two-level minimisation: fewest cubes, then fewest literals.
+
+    Prime implicants of ``on | dont_care`` are searched by increasing
+    count for a cover of ``on``; the ``<= 8``-bit tables keep the prime
+    sets small enough for the exhaustive search.
     """
-    for term in terms:
-        np.copyto(scratch, planes[term.pos[0]])
-        for ch in term.pos[1:]:
-            scratch &= planes[ch]
-        for ch in term.neg:
-            scratch &= comps[ch]
-        for ch in term.flip_channels:
-            acc[ch] |= scratch
+    primes = [
+        (value, care)
+        for value, care in _prime_implicants(on | dont_care, num_channels)
+        if any(s & care == value for s in on)
+    ]
+    for count in range(1, len(primes) + 1):
+        covers = [
+            combo
+            for combo in itertools.combinations(primes, count)
+            if all(any(s & care == value for value, care in combo) for s in on)
+        ]
+        if covers:
+            return list(min(covers, key=lambda c: sum(bin(care).count("1") for _, care in c)))
+    raise ValueError("no cover of an empty on-set")
 
 
-def verify_plane_logic(table: CollisionTable, terms: tuple[FlipTerm, ...]) -> None:
-    """Check compiled flip terms against the table over **all** states.
+def _flip_groups(
+    common: tuple[FlipTerm, ...],
+    left: tuple[FlipTerm, ...],
+    right: tuple[FlipTerm, ...],
+) -> dict[int, tuple[set[int], set[int], set[int]]]:
+    """States by flip set: ``flips -> (common, left-only, right-only)``."""
+    groups: dict[int, tuple[set[int], set[int], set[int]]] = {}
+    for side, terms in enumerate((common, left, right)):
+        for term in terms:
+            groups.setdefault(term.flips, (set(), set(), set()))[side].add(term.state)
+    return groups
 
-    Runs the exact vectorized accumulation the kernel uses on a one-row
-    field enumerating every state, and compares the XOR-reconstructed
-    outputs entry by entry.  Raises ``ValueError`` on any divergence, so
-    a kernel holding compiled terms is as trustworthy as the verified
-    table it came from.
+
+class _Emitter:
+    """Builds the straight-line program in SSA form.
+
+    Fixed registers are ints and computed values ``("v", n)`` tuples.
+    Complements are emitted on first use and cube products on memoised
+    literal prefixes (literals in channel order), so cubes sharing a
+    prefix share its ANDs.
+    """
+
+    def __init__(self, num_channels: int):
+        self.num_channels = num_channels
+        self.ops: list[tuple[np.ufunc, object, object, object]] = []
+        self._values = itertools.count()
+        self._complements: dict[int, object] = {}
+        self._products: dict[tuple[tuple[int, bool], ...], object] = {}
+
+    def emit(self, fn: np.ufunc, a: object, b: object = -1, dst: object = None) -> object:
+        if dst is None:
+            dst = ("v", next(self._values))
+        self.ops.append((fn, a, b, dst))
+        return dst
+
+    def literal(self, ch: int, positive: bool) -> object:
+        if positive:
+            return ch
+        if ch not in self._complements:
+            self._complements[ch] = self.emit(np.bitwise_not, ch)
+        return self._complements[ch]
+
+    def product(self, cube: Cube) -> object:
+        value, care = cube
+        literals = tuple(
+            (ch, bool(value >> ch & 1))
+            for ch in range(self.num_channels)
+            if care >> ch & 1
+        )
+        acc = self.literal(*literals[0])
+        for i in range(2, len(literals) + 1):
+            prefix = literals[:i]
+            if prefix not in self._products:
+                self._products[prefix] = self.emit(
+                    np.bitwise_and, acc, self.literal(*prefix[-1])
+                )
+            acc = self._products[prefix]
+        return acc
+
+    def any_of(self, cubes: list[Cube]) -> object:
+        acc = self.product(cubes[0])
+        for cube in cubes[1:]:
+            acc = self.emit(np.bitwise_or, acc, self.product(cube))
+        return acc
+
+
+@dataclass(frozen=True)
+class CollisionNetwork:
+    """A collision compiled to one straight-line program of full-plane ops.
+
+    ``ops`` are ``(ufunc, a, b, dst)`` over a register file that holds,
+    for one row block: the ``C`` input planes, the ``C`` output planes,
+    the left, right, solid and not-solid masks, then ``num_temps``
+    temporaries; ``b < 0`` marks the unary complement.
+    """
+
+    num_channels: int
+    ops: tuple[tuple[np.ufunc, int, int, int], ...]
+    num_temps: int
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def alloc_temps(self, rows: int, words: int) -> np.ndarray:
+        """Temporaries for one :data:`BLOCK_BYTES` row block of a plane."""
+        height = min(rows, max(1, BLOCK_BYTES // (8 * words)))
+        return np.empty((self.num_temps, height, words), dtype=np.uint64)
+
+    @hot_path
+    def run(
+        self,
+        planes_in: np.ndarray,
+        planes_out: np.ndarray,
+        masks: tuple[np.ndarray | None, ...],
+        temps: np.ndarray,
+    ) -> None:
+        """Run the program from ``planes_in`` into ``planes_out``.
+
+        ``masks`` is ``(left, right, solid, not_solid)``, ``None`` where
+        the program reads no such plane; ``temps`` comes from
+        :meth:`alloc_temps`, and its height is the row-block size.
+        """
+        c = self.num_channels
+        first_mask = 2 * c
+        first_temp = first_mask + _NUM_MASKS
+        rows = planes_in.shape[1]
+        block = temps.shape[1]
+        # One register table per call, rebound to views block by block.
+        regs: list = [None] * (first_temp + self.num_temps)  # repro: alloc-ok
+        for r0 in range(0, rows, block):
+            r1 = min(r0 + block, rows)
+            for ch in range(c):
+                regs[ch] = planes_in[ch, r0:r1]
+                regs[c + ch] = planes_out[ch, r0:r1]
+            for k, mask in enumerate(masks):
+                if mask is not None:
+                    regs[first_mask + k] = mask[r0:r1]
+            for k in range(self.num_temps):
+                regs[first_temp + k] = temps[k, : r1 - r0]
+            for fn, a, b, dst in self.ops:
+                if b < 0:
+                    fn(regs[a], regs[dst])
+                else:
+                    fn(regs[a], regs[b], regs[dst])
+
+
+def _allocate(ops: list, num_channels: int) -> CollisionNetwork:
+    """Map SSA values onto a temporary pool by liveness.
+
+    A value's temporary returns to the pool at its last read, and may be
+    the destination of that very op (NumPy element-wise ops allow it).
+    """
+    first_temp = 2 * num_channels + _NUM_MASKS
+    last_read: dict[object, int] = {}
+    for i, (_, a, b, _) in enumerate(ops):
+        for v in (a, b):
+            if isinstance(v, tuple):
+                last_read[v] = i
+    slots: dict[object, int] = {}
+    free: list[int] = []
+    num_temps = 0
+    program = []
+    for i, (fn, a, b, dst) in enumerate(ops):
+        ra, rb = (first_temp + slots[v] if isinstance(v, tuple) else v for v in (a, b))
+        for v in {a, b}:
+            if isinstance(v, tuple) and last_read[v] == i:
+                heapq.heappush(free, slots.pop(v))
+        if isinstance(dst, tuple):
+            if free:
+                slots[dst] = heapq.heappop(free)
+            else:
+                slots[dst] = num_temps
+                num_temps += 1
+            dst = first_temp + slots[dst]
+        program.append((fn, ra, rb, dst))
+    return CollisionNetwork(num_channels, tuple(program), num_temps)
+
+
+def compile_network(
+    common: tuple[FlipTerm, ...],
+    left: tuple[FlipTerm, ...],
+    right: tuple[FlipTerm, ...],
+    num_channels: int,
+    opposite: tuple[int, ...] | None = None,
+) -> CollisionNetwork:
+    """Compile (common, left-only, right-only) flip terms to a network.
+
+    States are grouped by flip set, and each group's states merged into
+    a minimum set of cubes; a chiral group may also cover the common
+    states of its flip set, which the common signal flips anyway.  A
+    group's signal is ``common | left & L | right & R`` (each part only
+    where present), and output channel ``ch`` is the XOR chain
+    ``in[ch] ^ g1 ^ g2 ...`` over the groups flipping it.  The signals
+    are disjoint at every site as long as the masks ``L`` and ``R``
+    partition the sites, so no flip accumulator is needed.  With
+    ``opposite`` (an obstacle map is present), solid sites then take
+    the bounce-back ``in[opposite[ch]]``.
+    """
+    em = _Emitter(num_channels)
+    masks = 2 * num_channels
+    written: set[int] = set()
+    for flips, (on_common, on_left, on_right) in _flip_groups(common, left, right).items():
+        parts = []
+        if on_common:
+            parts.append(em.any_of(_minimum_cover(on_common, set(), num_channels)))
+        for on, mask in ((on_left, _LEFT), (on_right, _RIGHT)):
+            if on:
+                side = em.any_of(_minimum_cover(on, on_common, num_channels))
+                parts.append(em.emit(np.bitwise_and, side, masks + mask))
+        signal = parts[0]
+        for part in parts[1:]:
+            signal = em.emit(np.bitwise_or, signal, part)
+        for ch in range(num_channels):
+            if flips >> ch & 1:
+                src = num_channels + ch if ch in written else ch
+                em.emit(np.bitwise_xor, src, signal, dst=num_channels + ch)
+                written.add(ch)
+    for ch in range(num_channels):
+        if ch not in written:  # a channel no state flips: plain copy
+            em.emit(np.bitwise_or, ch, ch, dst=num_channels + ch)
+    if opposite is not None:
+        for ch in range(num_channels):
+            out = num_channels + ch
+            em.emit(np.bitwise_and, out, masks + _NOT_SOLID, dst=out)
+            bounced = em.emit(np.bitwise_and, opposite[ch], masks + _SOLID)
+            em.emit(np.bitwise_or, out, bounced, dst=out)
+    return _allocate(em.ops, num_channels)
+
+
+def verify_plane_logic(
+    table: CollisionTable,
+    logic: tuple[FlipTerm, ...] | CollisionNetwork,
+    right: CollisionTable | None = None,
+) -> None:
+    """Check compiled collision logic against its tables over **all** states.
+
+    ``logic`` is a compiled network, or flip terms to compile into one.
+    On a one-row field enumerating every state, :meth:`CollisionNetwork.run`
+    — the program and row-block loop the kernel runs — executes once
+    with masks (all-ones, zeros) against ``table`` and once with (zeros,
+    all-ones) against ``right`` (default: ``table``).  Outputs are
+    compared word for word, tail padding included.  Raises
+    ``ValueError`` on any divergence, so a kernel holding a network is
+    as trustworthy as the verified tables it came from.
     """
     num_channels = table.num_channels
+    if not isinstance(logic, CollisionNetwork):
+        logic = compile_network(logic, (), (), num_channels)
     n = table.num_states
     states = np.arange(n, dtype=np.uint16).reshape(1, n)
     planes = pack_state(states, num_channels)
-    comps = np.bitwise_not(planes)
-    flips = np.zeros_like(planes)
-    scratch = np.empty_like(planes[0])
-    _accumulate_flips(terms, planes, comps, flips, scratch)
-    out = unpack_state(np.bitwise_xor(planes, flips), n)
-    expected = table.table[states].astype(out.dtype)
-    if not np.array_equal(out, expected):
-        bad = int(np.nonzero(out != expected)[1][0])
-        raise ValueError(
-            f"plane-compiled logic diverges from table {table.name!r} at state "
-            f"{bad:#x}: {int(out[0, bad]):#x} != {int(expected[0, bad]):#x}"
-        )
+    out = np.empty_like(planes)
+    temps = logic.alloc_temps(1, planes.shape[2])
+    ones = np.full(planes.shape[1:], _FULL, dtype=np.uint64)
+    zeros = np.zeros_like(ones)
+    right = table if right is None else right
+    for expected_table, chirality in ((table, (ones, zeros)), (right, (zeros, ones))):
+        logic.run(planes, out, (*chirality, zeros, ones), temps)
+        got = unpack_state(out, n)
+        expected = expected_table.table[states].astype(got.dtype)
+        if not np.array_equal(got, expected):
+            bad = int(np.nonzero(got != expected)[1][0])
+            raise ValueError(
+                f"plane-compiled logic diverges from table {expected_table.name!r} "
+                f"at state {bad:#x}: {int(got[0, bad]):#x} != {int(expected[0, bad]):#x}"
+            )
+        if not np.array_equal(out, pack_state(expected, num_channels)):
+            raise ValueError(
+                f"plane-compiled logic for table {expected_table.name!r} diverges "
+                "in the tail padding"
+            )
 
 
 # -- word-level shifts --------------------------------------------------------
@@ -451,6 +719,12 @@ class BitplaneKernel:
     obstacles:
         Optional solid-site mask (an ``ObstacleMap`` or boolean array);
         solid sites bounce back exactly like the reference automaton.
+
+    Attributes
+    ----------
+    network:
+        The verified :class:`CollisionNetwork` :meth:`collide_into` runs,
+        obstacle bounce-back included.
     """
 
     def __init__(self, model: HPPModel | FHPModel, obstacles: object = None):
@@ -467,33 +741,20 @@ class BitplaneKernel:
         rows, w = self.rows, self.words
         shape = (rows, w)
 
-        # -- collision terms, mechanically compiled and cross-checked ---------
+        # -- collision terms ----------------------------------------------------
         self._chirality: str | None = None
         if isinstance(model, FHPModel):
             left, right = model.collision_tables
-            if model.chirality == "left":
-                self._common = flip_terms(left)
-                self._left_terms: tuple[FlipTerm, ...] = ()
-                self._right_terms: tuple[FlipTerm, ...] = ()
-                verify_plane_logic(left, self._common)
-            elif model.chirality == "right":
-                self._common = flip_terms(right)
-                self._left_terms = ()
-                self._right_terms = ()
-                verify_plane_logic(right, self._common)
+            if model.chirality in ("left", "right"):
+                left = right = left if model.chirality == "left" else right
+                terms = (flip_terms(left), (), ())
             else:
                 self._chirality = model.chirality
-                self._common, self._left_terms, self._right_terms = (
-                    split_chirality_terms(left, right)
-                )
-                verify_plane_logic(left, self._common + self._left_terms)
-                verify_plane_logic(right, self._common + self._right_terms)
+                terms = split_chirality_terms(left, right)
             self._kind = "fhp"
         else:
-            self._common = flip_terms(model.collision_table)
-            self._left_terms = ()
-            self._right_terms = ()
-            verify_plane_logic(model.collision_table, self._common)
+            left = right = model.collision_table
+            terms = (flip_terms(left), (), ())
             self._kind = "hpp"
 
         # -- masks -------------------------------------------------------------
@@ -505,17 +766,24 @@ class BitplaneKernel:
                 (pack_plane(odd), pack_plane(~odd)),
             )
         mask = getattr(obstacles, "mask", obstacles)
+        self._solid: np.ndarray | None = None
+        self._not_solid: np.ndarray | None = None
+        opposite: tuple[int, ...] | None = None
         if mask is not None and np.any(mask):
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != (rows, self.cols):
                 raise ValueError(
                     f"obstacle shape {mask.shape} != grid shape {(rows, self.cols)}"
                 )
-            self._solid: np.ndarray | None = pack_plane(mask)
+            self._solid = pack_plane(mask)
             self._not_solid = pack_plane(~mask)
-            self._opposite = opposite_channels(self.num_channels)
-        else:
-            self._solid = None
+            opposite = opposite_channels(self.num_channels)
+
+        # -- the collision network, compiled and cross-checked ---------------
+        self.network = compile_network(*terms, self.num_channels, opposite)
+        verify_plane_logic(left, self.network, right)
+        self._temps = self.network.alloc_temps(rows, w)
+
         if self._kind == "fhp" and self.boundary == "reflecting":
             self._tgt_invalid = [pack_plane(m) for m in model._tgt_invalid]
         if self._kind == "hpp":
@@ -527,15 +795,10 @@ class BitplaneKernel:
             self._last_col = pack_plane(last_col)
 
         # -- preallocated working storage -------------------------------------
-        num_channels = self.num_channels
-        self._comps = np.empty((num_channels, rows, w), dtype=np.uint64)
-        self._flips = np.empty((num_channels, rows, w), dtype=np.uint64)
         self._scratch = np.empty(shape, dtype=np.uint64)
         self._carry = np.empty(shape, dtype=np.uint64)
         self._stage = np.empty(shape, dtype=np.uint64)
-        self._mid = np.empty((num_channels, rows, w), dtype=np.uint64)
-        if self._left_terms or self._right_terms:
-            self._side = np.empty((num_channels, rows, w), dtype=np.uint64)
+        self._mid = np.empty((self.num_channels, rows, w), dtype=np.uint64)
         if self._chirality == "random":
             self._rand_m = np.empty(shape, dtype=np.uint64)
             self._rand_not_m = np.empty(shape, dtype=np.uint64)
@@ -571,6 +834,12 @@ class BitplaneKernel:
         distribute a globally drawn ``random`` chirality field to
         slab-local kernels, preserving the whole-lattice RNG stream —
         something per-slab draws could never reproduce.
+
+        Precondition: the two masks partition the valid sites — every
+        site is set in exactly one of them — as the ``alternate`` and
+        ``random`` masks and the parallel backend's ``field`` /
+        ``~field`` pairs are.  The network's XOR chains rely on it: at a
+        site set in both masks both sides' flips would be XOR-ed in.
         """
         if masks is not None:
             shape = (self.rows, self.words)
@@ -609,36 +878,25 @@ class BitplaneKernel:
     ) -> None:
         """Boolean-algebra collision: ``out = in XOR flips(in)``.
 
-        Solid (obstacle) sites bounce back instead, exactly like the
-        reference automaton.  ``planes_out`` must not alias ``planes_in``.
+        Runs the compiled :class:`CollisionNetwork`.  Solid (obstacle)
+        sites bounce back instead, exactly like the reference automaton.
+        ``planes_out`` must not alias ``planes_in``.
         """
-        comps, flips = self._comps, self._flips
-        num_channels = self.num_channels
-        for ch in range(num_channels):
-            np.bitwise_not(planes_in[ch], out=comps[ch])
-        flips[...] = 0
-        _accumulate_flips(self._common, planes_in, comps, flips, self._scratch)
-        if self._left_terms or self._right_terms:
-            left_mask, right_mask = self._chirality_planes(t, rng)
-            side = self._side
-            side[...] = 0
-            _accumulate_flips(self._left_terms, planes_in, comps, side, self._scratch)
-            for ch in range(num_channels):
-                side[ch] &= left_mask
-                flips[ch] |= side[ch]
-            side[...] = 0
-            _accumulate_flips(self._right_terms, planes_in, comps, side, self._scratch)
-            for ch in range(num_channels):
-                side[ch] &= right_mask
-                flips[ch] |= side[ch]
-        for ch in range(num_channels):
-            np.bitwise_xor(planes_in[ch], flips[ch], out=planes_out[ch])
-        if self._solid is not None:
-            scratch = self._scratch
-            for ch in range(num_channels):
-                planes_out[ch] &= self._not_solid
-                np.bitwise_and(planes_in[self._opposite[ch]], self._solid, out=scratch)
-                planes_out[ch] |= scratch
+        left = right = None
+        if self._chirality is not None:
+            left, right = self._chirality_planes(t, rng)
+        self.network.run(
+            planes_in, planes_out, (left, right, self._solid, self._not_solid), self._temps
+        )
+
+    @property
+    def collide_ops(self) -> int:
+        """Full-plane ops one :meth:`collide_into` makes, from the network.
+
+        Each op runs once per row block, so one op is one pass over a
+        whole plane.
+        """
+        return len(self.network)
 
     # -- propagation -----------------------------------------------------------
 

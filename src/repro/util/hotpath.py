@@ -35,6 +35,7 @@ HOT_PATH_REGISTRY: frozenset[str] = frozenset(
         "BitplaneKernel.step_into",
         "BitplaneKernel.collide_into",
         "BitplaneKernel.propagate_into",
+        "CollisionNetwork.run",
         "BitplaneStepper.step",
         "BitplaneStepper.run",
         "ParallelStepper._advance_tile",

@@ -16,7 +16,7 @@ from repro.engines.pe import make_rule
 from repro.engines.pipeline import PipelineStage, SerialPipelineEngine
 from repro.lgca.automaton import LatticeGasAutomaton
 from repro.lgca.backends import BitplaneStepper, ReferenceStepper
-from repro.lgca.bitplane import BitplaneKernel
+from repro.lgca.bitplane import BitplaneKernel, CollisionNetwork
 from repro.lgca.fhp import FHPModel
 from repro.lgca.parallel import ParallelStepper
 from repro.lgca.flows import uniform_random_state
@@ -56,6 +56,7 @@ class TestDecoratorMechanics:
 class TestRegistryIntegrity:
     CLASSES = {
         "BitplaneKernel": BitplaneKernel,
+        "CollisionNetwork": CollisionNetwork,
         "BitplaneStepper": BitplaneStepper,
         "ParallelStepper": ParallelStepper,
         "ReferenceStepper": ReferenceStepper,

@@ -1,9 +1,13 @@
 """Unit tests for the multi-spin coded (bit-plane) kernels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.lgca.automaton import ObstacleMap
 from repro.lgca.bitplane import (
+    BLOCK_BYTES,
     WORD_BITS,
     BitplaneKernel,
     FlipTerm,
@@ -16,6 +20,7 @@ from repro.lgca.bitplane import (
     unpack_state,
     verify_plane_logic,
 )
+from repro.lgca.bits import bounce_back_table
 from repro.lgca.collision import CollisionTable
 from repro.lgca.fhp import (
     FHPModel,
@@ -154,6 +159,126 @@ class TestFlipTerms:
         _, right7 = fhp7_collision_tables()
         with pytest.raises(ValueError):
             split_chirality_terms(left, right7)
+
+
+FHP_VARIANTS = {
+    "fhp6": {},
+    "fhp7": {"rest_particles": True},
+    "fhp-sat": {"rest_particles": True, "saturated": True},
+}
+
+
+def _fhp(rows, cols, variant, **kwargs):
+    return FHPModel(rows, cols, **FHP_VARIANTS[variant], **kwargs)
+
+
+class TestCollisionNetwork:
+    @pytest.mark.parametrize("chirality", ["left", "right", "alternate", "random"])
+    @pytest.mark.parametrize("variant", sorted(FHP_VARIANTS))
+    def test_fhp_network_is_exhaustively_exact(self, variant, chirality):
+        model = _fhp(2, 64, variant, chirality=chirality)
+        left, right = model.collision_tables
+        if chirality in ("left", "right"):
+            left = right = left if chirality == "left" else right
+        verify_plane_logic(left, BitplaneKernel(model).network, right)
+
+    def test_hpp_network_is_exhaustively_exact(self):
+        table = hpp_collision_table()
+        verify_plane_logic(table, BitplaneKernel(HPPModel(2, 64)).network)
+
+    @pytest.mark.parametrize("variant", ["fhp6", "fhp7"])
+    def test_every_corrupted_op_is_rejected(self, variant):
+        swap = {np.bitwise_and: np.bitwise_or, np.bitwise_or: np.bitwise_and,
+                np.bitwise_xor: np.bitwise_and}
+        model = _fhp(2, 64, variant)
+        left, right = model.collision_tables
+        network = BitplaneKernel(model).network
+        for i, (fn, a, b, dst) in enumerate(network.ops):
+            if fn is np.bitwise_not:
+                corrupt = (fn, (a + 1) % network.num_channels, b, dst)
+            else:
+                corrupt = (swap[fn], a, b, dst)
+            ops = network.ops[:i] + (corrupt,) + network.ops[i + 1:]
+            with pytest.raises(ValueError, match="diverges"):
+                verify_plane_logic(left, dataclasses.replace(network, ops=ops), right)
+
+    @pytest.mark.parametrize(
+        "model, bound",
+        [
+            (HPPModel(2, 64), 15),
+            (_fhp(2, 64, "fhp6"), 56),
+            (_fhp(2, 64, "fhp7"), 123),
+            (_fhp(2, 64, "fhp-sat"), 353),
+        ],
+        ids=["hpp", "fhp6", "fhp7", "fhp-sat"],
+    )
+    def test_collide_ops_pinned(self, model, bound):
+        kernel = BitplaneKernel(model)
+        assert kernel.collide_ops == len(kernel.network.ops) <= bound
+
+    def test_obstacles_add_the_bounce_ops(self):
+        model = _fhp(4, 64, "fhp7")
+        mask = np.zeros((4, 64), dtype=bool)
+        mask[1, 3] = True
+        plain = BitplaneKernel(model).collide_ops
+        assert BitplaneKernel(model, obstacles=mask).collide_ops == plain + 3 * 7
+
+
+def _block_rows(cols):
+    return BLOCK_BYTES // (8 * num_words(cols))
+
+
+class TestRowBlocks:
+    """``collide_into`` against ``model.collide`` across row-block edges."""
+
+    COLS = 2048
+
+    @pytest.fixture(params=["block+2", "1028", "1"])
+    def rows(self, request):
+        return {"block+2": _block_rows(self.COLS) + 2, "1028": 1028, "1": 1}[request.param]
+
+    @staticmethod
+    def _model(rows, cols, variant="fhp7", **kwargs):
+        boundary = "periodic" if rows % 2 == 0 else "null"
+        return _fhp(rows, cols, variant, boundary=boundary, **kwargs)
+
+    def test_block_height_from_plane_width(self):
+        assert _block_rows(2048) == 256
+
+    @pytest.mark.parametrize("variant", ["fhp6", "fhp7"])
+    def test_alternate(self, rows, variant):
+        model = self._model(rows, self.COLS, variant)
+        kernel = BitplaneKernel(model)
+        state = uniform_random_state(rows, self.COLS, model.num_channels, 0.4,
+                                     np.random.default_rng(rows))
+        planes, out = kernel.pack(state), kernel.alloc_planes()
+        for t in (0, 1):
+            kernel.collide_into(planes, out, t)
+            assert np.array_equal(kernel.unpack(out), model.collide(state, t))
+
+    def test_obstacles(self, rows):
+        model = self._model(rows, self.COLS)
+        rng = np.random.default_rng(rows + 1)
+        mask = rng.random((rows, self.COLS)) < 0.1
+        kernel = BitplaneKernel(model, obstacles=ObstacleMap(mask))
+        state = uniform_random_state(rows, self.COLS, 7, 0.4, rng)
+        planes, out = kernel.pack(state), kernel.alloc_planes()
+        kernel.collide_into(planes, out, 1)
+        expected = model.collide(state, 1)
+        bounced = bounce_back_table(7)[state]
+        expected[mask] = bounced[mask]
+        assert np.array_equal(kernel.unpack(out), expected)
+
+    def test_external_chirality(self, rows):
+        model = self._model(rows, self.COLS, chirality="random")
+        kernel = BitplaneKernel(model)
+        field = model.chirality_field(0, np.random.default_rng(rows + 2))
+        kernel.set_external_chirality((pack_plane(field), pack_plane(~field)))
+        state = uniform_random_state(rows, self.COLS, 7, 0.4, np.random.default_rng(rows))
+        planes, out = kernel.pack(state), kernel.alloc_planes()
+        kernel.collide_into(planes, out, 0)
+        expected = model.collide(state, 0, np.random.default_rng(rows + 2))
+        assert np.array_equal(kernel.unpack(out), expected)
 
 
 class TestKernel:
