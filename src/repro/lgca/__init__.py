@@ -64,6 +64,7 @@ from repro.lgca.automaton import LatticeGasAutomaton, ObstacleMap
 from repro.lgca.backends import (
     Backend,
     KernelStepper,
+    ResidentState,
     available_backends,
     get_backend,
     make_stepper,
@@ -116,6 +117,7 @@ __all__ = [
     "ObstacleMap",
     "Backend",
     "KernelStepper",
+    "ResidentState",
     "available_backends",
     "get_backend",
     "make_stepper",

@@ -26,6 +26,13 @@ knowing its storage format.  Steppers preallocate their double buffers
 at construction, so steady-state stepping performs no array allocation;
 the arrays they return are views of internal buffers, invalidated by the
 next call — callers that retain states must copy.
+
+A caller that steps one lattice many times but touches only a few of
+its rows between generations (a shard of the supervised runtime reads
+and writes two halo rows per side) asks the stepper for a
+:class:`ResidentState` instead: the lattice then stays in the backend's
+own storage — bit-planes for ``"bitplane"`` — and only the rows read or
+written cross the site-field boundary.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ from repro.util.hotpath import hot_path
 
 __all__ = [
     "KernelStepper",
+    "ResidentState",
+    "FieldResident",
+    "PlaneResident",
     "Backend",
     "ReferenceStepper",
     "BitplaneStepper",
@@ -65,7 +75,8 @@ class KernelStepper(Protocol):
     Implementations hold preallocated working storage but no gas state:
     ``step``/``run`` are pure functions of their arguments (plus the RNG
     stream).  Returned arrays may alias internal buffers and are only
-    valid until the next call.
+    valid until the next call.  Gas state that should outlive a call
+    lives in the separate object ``resident`` returns.
     """
 
     def step(
@@ -86,6 +97,103 @@ class KernelStepper(Protocol):
     ) -> np.ndarray:
         """Advance ``state`` by ``generations`` steps starting at time ``t0``."""
         ...
+
+    def resident(self, state: np.ndarray) -> ResidentState:
+        """Hold a copy of ``state`` in this backend's storage (see :class:`ResidentState`)."""
+        ...
+
+
+class ResidentState(Protocol):
+    """One lattice kept in a stepper's own storage across generations.
+
+    Built by :meth:`KernelStepper.resident`.  :meth:`advance` steps it in
+    place; the row methods are the only site-field traffic, so a caller
+    that exchanges a few rows per generation pays a conversion of those
+    rows only, never of the whole lattice.  Row arguments are local row
+    indices ``[start, stop)``; written rows are ``(n, cols)`` site values
+    the caller vouches for (they are not re-validated).
+    """
+
+    def advance(self, t: int, rng: np.random.Generator | None = None) -> None:
+        """One generation (collide at time ``t``, propagate), in place."""
+        ...
+
+    def read_rows(self, start: int, stop: int) -> np.ndarray:
+        """A fresh site-field copy of rows ``[start, stop)``."""
+        ...
+
+    def write_rows(self, start: int, rows: np.ndarray) -> None:
+        """Overwrite rows ``start, start + 1, ...`` with site values ``rows``."""
+        ...
+
+    def clear_rows(self, start: int, stop: int) -> None:
+        """Empty rows ``[start, stop)`` (no particles)."""
+        ...
+
+
+class FieldResident:
+    """A lattice held as a site field and advanced through ``stepper.step``.
+
+    The storage of every backend whose native format *is* the site field
+    (``"reference"``), and of ``"parallel"``, whose tiles re-pack at each
+    call anyway.  The stepper's output is copied back into the field, so
+    the field never aliases the stepper's buffers.
+    """
+
+    def __init__(self, stepper: KernelStepper, state: np.ndarray):
+        self._stepper = stepper
+        self._field = stepper.model.check_state(state).copy()  # type: ignore[attr-defined]
+
+    @hot_path
+    def advance(self, t: int, rng: np.random.Generator | None = None) -> None:
+        np.copyto(self._field, self._stepper.step(self._field, t, rng))
+
+    def read_rows(self, start: int, stop: int) -> np.ndarray:
+        return self._field[start:stop].copy()
+
+    def write_rows(self, start: int, rows: np.ndarray) -> None:
+        self._field[start : start + len(rows)] = rows
+
+    def clear_rows(self, start: int, stop: int) -> None:
+        self._field[start:stop] = 0
+
+
+class PlaneResident:
+    """A lattice held as ``(C, rows, W)`` bit-planes between generations.
+
+    Packed once at construction; :meth:`advance` is one allocation-free
+    :meth:`BitplaneKernel.step_into` between two private plane buffers,
+    timed on the same ``kernel.bitplane.*`` handles as
+    :class:`BitplaneStepper`.  Bit-plane rows are lattice rows, so
+    reading or writing ``n`` rows unpacks or packs ``n`` rows and nothing
+    else.
+    """
+
+    def __init__(self, kernel: BitplaneKernel, state: np.ndarray, recorder: Recorder):
+        self._kernel = kernel
+        self._clk = recorder.clock
+        self._tick_timer = recorder.timer("kernel.bitplane.tick_seconds")
+        self._generations = recorder.counter("kernel.bitplane.generations")
+        self._src = kernel.alloc_planes()
+        self._dst = kernel.alloc_planes()
+        self._src[...] = kernel.pack(kernel.model.check_state(state))
+
+    @hot_path
+    def advance(self, t: int, rng: np.random.Generator | None = None) -> None:
+        t_start = self._clk()
+        self._kernel.step_into(self._src, self._dst, t, rng)
+        self._tick_timer.record(self._clk() - t_start)
+        self._generations.add(1)
+        self._src, self._dst = self._dst, self._src
+
+    def read_rows(self, start: int, stop: int) -> np.ndarray:
+        return self._kernel.unpack(self._src[:, start:stop])
+
+    def write_rows(self, start: int, rows: np.ndarray) -> None:
+        self._src[:, start : start + len(rows)] = self._kernel.pack(rows)
+
+    def clear_rows(self, start: int, stop: int) -> None:
+        self._src[:, start:stop] = 0
 
 
 @dataclass(frozen=True)
@@ -219,6 +327,9 @@ class ReferenceStepper:
             cur = self._advance(cur, self._next_buffer(cur), t0 + i, rng)
         return cur
 
+    def resident(self, state: np.ndarray) -> FieldResident:
+        return FieldResident(self, state)
+
 
 class BitplaneStepper:
     """Multi-spin coded stepping behind the :class:`KernelStepper` interface.
@@ -226,7 +337,9 @@ class BitplaneStepper:
     ``step`` pays a pack/unpack conversion per call; ``run`` packs once,
     advances all generations as word-level plane operations on two
     preallocated plane buffers, and unpacks once — that is the fast path
-    the benchmarks measure.
+    the benchmarks measure.  ``resident`` keeps a lattice packed across
+    calls (:class:`PlaneResident`), for callers that step one generation
+    at a time but only touch a few rows in between.
 
     ``recorder`` (optional) receives per-generation kernel timings on
     the ``kernel.bitplane.tick_seconds`` timer through pre-bound
@@ -244,6 +357,7 @@ class BitplaneStepper:
         self._planes = (self.kernel.alloc_planes(), self.kernel.alloc_planes())
         self._field = np.empty((model.rows, model.cols), dtype=np.uint8)  # type: ignore[attr-defined]
         rec = recorder if recorder is not None else NULL_RECORDER
+        self._recorder = rec
         self._clk = rec.clock
         self._tick_timer = rec.timer("kernel.bitplane.tick_seconds")
         self._generations = rec.counter("kernel.bitplane.generations")
@@ -279,6 +393,9 @@ class BitplaneStepper:
             src, dst = dst, src
         self._generations.add(generations)
         return self.kernel.unpack(src, out=self._field)
+
+    def resident(self, state: np.ndarray) -> PlaneResident:
+        return PlaneResident(self.kernel, state, self._recorder)
 
 
 _REGISTRY: dict[str, Backend] = {}

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -54,6 +55,9 @@ from repro.lgca.hpp import HPPModel
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
+
+if TYPE_CHECKING:
+    from repro.lgca.backends import FieldResident
 
 __all__ = [
     "AUTO_WORKERS",
@@ -374,3 +378,9 @@ class ParallelStepper:
             ]
         cols: int = self.model.cols  # type: ignore[attr-defined]
         return unpack_state(gplanes, cols, out=self._field)
+
+    def resident(self, state: np.ndarray) -> FieldResident:
+        """The lattice as a site field; each ``advance`` is one :meth:`step`."""
+        from repro.lgca.backends import FieldResident
+
+        return FieldResident(self, state)

@@ -32,6 +32,7 @@ from repro.lattice.slabs import BOUNDARY_ROWS, Shard, plan_shards
 from repro.lgca.backends import make_stepper
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.errors import ConfigError
+from repro.util.hotpath import hot_path
 
 __all__ = ["BOUNDARY_ROWS", "Shard", "ShardRunner", "plan_shards"]
 
@@ -41,6 +42,15 @@ class ShardRunner:
 
     Pure in-process logic (no pipes, no processes) so the sharded
     evolution is testable — and benchmarkable — without a supervisor.
+
+    The local frame lives in the backend's own storage for the runner's
+    whole life (:meth:`KernelStepper.resident
+    <repro.lgca.backends.KernelStepper.resident>`): on ``"bitplane"``
+    it is packed once here, and a generation converts only the
+    :data:`BOUNDARY_ROWS` rows per side published by
+    :meth:`boundary_rows` and the halo rows written by
+    :meth:`set_halos`.  The whole slab is unpacked only when
+    :attr:`interior` is read — at checkpoints and at collection.
 
     Parameters
     ----------
@@ -95,11 +105,13 @@ class ShardRunner:
 
         obstacles = None if obstacles_mask is None else ObstacleMap(obstacles_mask)
         rec = recorder if recorder is not None else NULL_RECORDER
-        self._stepper = make_stepper(
+        stepper = make_stepper(
             model, obstacles=obstacles, backend=backend, recorder=recorder
         )
-        self._local = np.zeros((shard.local_rows, cols), dtype=np.uint8)
-        self._local[shard.interior] = initial_slab
+        local = np.zeros((shard.local_rows, cols), dtype=np.uint8)
+        local[shard.interior] = initial_slab
+        self._lattice = stepper.resident(local)
+        self._slab_stop = shard.halo_top + shard.slab_rows
         # Pre-bound handles (see OBSERVABILITY.md): free under the null
         # recorder, allocation-free per generation under a real one.
         self._clock = rec.clock
@@ -109,19 +121,23 @@ class ShardRunner:
 
     @property
     def interior(self) -> np.ndarray:
-        """The owned slab's current state (a view; copy to retain)."""
-        return self._local[self.shard.interior]
+        """The owned slab's current state, as a fresh site-field array.
+
+        Converts the whole slab out of the backend's storage, so read it
+        at checkpoints and collection, not every generation.
+        """
+        return self._lattice.read_rows(self.shard.halo_top, self._slab_stop)
 
     def boundary_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """``(top, bottom)`` — the slab's outermost rows for neighbours.
 
-        Always :data:`BOUNDARY_ROWS` rows each; receivers slice off the
-        halo depth they need.
+        Always :data:`BOUNDARY_ROWS` rows each, as fresh arrays;
+        receivers slice off the halo depth they need.
         """
-        interior = self.interior
+        top, stop = self.shard.halo_top, self._slab_stop
         return (
-            interior[:BOUNDARY_ROWS].copy(),
-            interior[-BOUNDARY_ROWS:].copy(),
+            self._lattice.read_rows(top, top + BOUNDARY_ROWS),
+            self._lattice.read_rows(stop - BOUNDARY_ROWS, stop),
         )
 
     def set_halos(
@@ -137,24 +153,22 @@ class ShardRunner:
         lattice edge, where nothing flows in.
         """
         start = self._clock()
-        shard = self.shard
+        shard, lattice = self.shard, self._lattice
         if above_bottom is None:
-            self._local[: shard.halo_top] = 0
+            lattice.clear_rows(0, shard.halo_top)
         else:
-            self._local[: shard.halo_top] = above_bottom[
-                BOUNDARY_ROWS - shard.halo_top :
-            ]
-        bottom = slice(shard.halo_top + shard.slab_rows, None)
+            lattice.write_rows(0, above_bottom[BOUNDARY_ROWS - shard.halo_top :])
         if below_top is None:
-            self._local[bottom] = 0
+            lattice.clear_rows(self._slab_stop, shard.local_rows)
         else:
-            self._local[bottom] = below_top[: shard.halo_bottom]
+            lattice.write_rows(self._slab_stop, below_top[: shard.halo_bottom])
         self._halo_timer.record(self._clock() - start)
 
+    @hot_path
     def step(self) -> None:
         """Advance the local frame one generation (halos must be fresh)."""
         start = self._clock()
-        self._local = self._stepper.step(self._local, self.time).copy()
+        self._lattice.advance(self.time)
         self.time += 1
         self._step_timer.record(self._clock() - start)
         self._generations.add(1)

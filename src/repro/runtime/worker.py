@@ -320,7 +320,7 @@ def _worker_loop(
     conn.send(("done", runner.time))
     msg = conn.recv()
     if msg[0] == "collect":
-        conn.send(("state", runner.time, runner.interior.copy()))
+        conn.send(("state", runner.time, runner.interior))
         conn.recv()  # the final ("stop",)
 
 

@@ -44,6 +44,9 @@ HOT_PATH_REGISTRY: frozenset[str] = frozenset(
         "ReferenceStepper._advance",
         "ReferenceStepper.step",
         "ReferenceStepper.run",
+        "FieldResident.advance",
+        "PlaneResident.advance",
+        "ShardRunner.step",
         "PipelineStage.process",
         "StreamingEngineCore._advance_stream",
     }

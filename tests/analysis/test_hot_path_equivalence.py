@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from repro.engines.pe import make_rule
 from repro.engines.pipeline import PipelineStage, SerialPipelineEngine
 from repro.lgca.automaton import LatticeGasAutomaton
-from repro.lgca.backends import BitplaneStepper, ReferenceStepper
+from repro.lgca.backends import BitplaneStepper, FieldResident, PlaneResident, ReferenceStepper
 from repro.lgca.bitplane import BitplaneKernel, CollisionNetwork
 from repro.lgca.fhp import FHPModel
 from repro.lgca.parallel import ParallelStepper
 from repro.lgca.flows import uniform_random_state
 from repro.lgca.hpp import HPPModel
+from repro.runtime.sharding import ShardRunner
 from repro.util.hotpath import HOT_PATH_REGISTRY, hot_path, is_hot_path
 
 
@@ -60,6 +61,9 @@ class TestRegistryIntegrity:
         "BitplaneStepper": BitplaneStepper,
         "ParallelStepper": ParallelStepper,
         "ReferenceStepper": ReferenceStepper,
+        "FieldResident": FieldResident,
+        "PlaneResident": PlaneResident,
+        "ShardRunner": ShardRunner,
         "PipelineStage": PipelineStage,
     }
 

@@ -250,3 +250,95 @@ class TestStepperContracts:
         mass0 = auto.particle_count()
         auto.run(20)
         assert total_mass(auto.state, 6) == mass0
+
+
+BACKENDS = ("reference", "bitplane", "parallel")
+
+
+def _stepper(model, backend, obstacles=None):
+    options = {"workers": 2} if backend == "parallel" else {}
+    return make_stepper(model, obstacles=obstacles, backend=backend, **options)
+
+
+class TestResidentState:
+    """``stepper.resident(state)``: the lattice stays in backend storage."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "model",
+        [
+            HPPModel(8, 67, boundary="null"),
+            FHPModel(8, 65),
+            FHPModel(8, 130, rest_particles=True, boundary="reflecting"),
+            FHPModel(6, 66, rest_particles=True, saturated=True),
+        ],
+        ids=["hpp-null", "fhp6", "fhp7-reflecting", "fhp-saturated"],
+    )
+    def test_advance_matches_run(self, backend, model):
+        rows, cols = model.rows, model.cols
+        mask = np.random.default_rng(11).random((rows, cols)) < 0.1
+        state = _state(4, rows, cols, model.num_channels)
+        state[mask] = 0
+        expected = make_stepper(model, obstacles=mask).run(state, GENERATIONS)
+        lattice = _stepper(model, backend, obstacles=mask).resident(state)
+        for t in range(GENERATIONS):
+            lattice.advance(t)
+        np.testing.assert_array_equal(lattice.read_rows(0, rows), expected)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_random_chirality_consumes_the_rng_like_run(self, backend):
+        model = FHPModel(6, 70, chirality="random")
+        state = _state(2, 6, 70, 6)
+        expected = make_stepper(model).run(state, 5, rng=np.random.default_rng(9))
+        lattice = _stepper(model, backend).resident(state)
+        rng = np.random.default_rng(9)
+        for t in range(5):
+            lattice.advance(t, rng)
+        np.testing.assert_array_equal(lattice.read_rows(0, 6), expected)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_row_writes_and_reads(self, backend):
+        model = FHPModel(8, 100, rest_particles=True)
+        state = _state(5, 8, 100, 7)
+        lattice = _stepper(model, backend).resident(state)
+        rows = _state(6, 2, 100, 7)
+        lattice.write_rows(3, rows)
+        lattice.clear_rows(6, 8)
+        expected = state.copy()
+        expected[3:5] = rows
+        expected[6:8] = 0
+        np.testing.assert_array_equal(lattice.read_rows(0, 8), expected)
+        np.testing.assert_array_equal(lattice.read_rows(3, 5), rows)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_holds_its_own_copy(self, backend):
+        model = HPPModel(6, 20)
+        state = _state(1, 6, 20, 4)
+        before = state.copy()
+        lattice = _stepper(model, backend).resident(state)
+        state[...] = 0
+        read = lattice.read_rows(0, 6)
+        np.testing.assert_array_equal(read, before)
+        read[...] = 0  # reads are fresh arrays, not views of the storage
+        np.testing.assert_array_equal(lattice.read_rows(0, 6), before)
+
+    def test_resident_rejects_invalid_states(self):
+        model = HPPModel(4, 4)
+        bad = np.full((4, 4), 0xFF, dtype=np.uint8)
+        for backend in BACKENDS:
+            with pytest.raises(ValueError):
+                _stepper(model, backend).resident(bad)
+
+    def test_bitplane_advance_is_allocation_free(self):
+        import tracemalloc
+
+        model = FHPModel(32, 100)
+        lattice = make_stepper(model, backend="bitplane").resident(_state(7, 32, 100, 6))
+        lattice.advance(0)
+        lattice.advance(1)
+        tracemalloc.start()
+        for t in range(6):
+            lattice.advance(t)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 16_000, f"advance allocated {peak} bytes"

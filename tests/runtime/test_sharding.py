@@ -107,7 +107,28 @@ class TestShardRunnerBitIdentity:
         sharded = _evolve_sharded(spec, init, 8, 2, "bitplane")
         assert np.array_equal(sharded, auto.state)
 
+    @pytest.mark.parametrize("kind", ["hpp", "fhp6", "fhp7"])
+    @pytest.mark.parametrize("boundary", ["periodic", "null"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_resident_bitplane_matches_reference_run(self, kind, boundary, workers):
+        """Slabs held as bit-planes for the whole run, against the
+        reference backend's whole-lattice evolution (cols straddle a
+        word boundary)."""
+        spec = ModelSpec(kind=kind, rows=18, cols=67, boundary=boundary)
+        init = spec.initial_state(0.35, 8)
+        auto = LatticeGasAutomaton(spec.build(), init.copy())
+        auto.run(9)
+        sharded = _evolve_sharded(spec, init, 9, workers, "bitplane")
+        assert np.array_equal(sharded, auto.state)
+
     def test_obstacles_match(self):
+        self._check_obstacles("reference")
+
+    def test_bitplane_obstacles_match(self):
+        self._check_obstacles("bitplane")
+
+    @staticmethod
+    def _check_obstacles(backend):
         spec = ModelSpec(kind="fhp6", rows=16, cols=16)
         init = spec.initial_state(0.3, 3)
         mask = np.zeros((16, 16), dtype=bool)
@@ -117,7 +138,7 @@ class TestShardRunnerBitIdentity:
             spec.build(), init.copy(), obstacles=ObstacleMap(mask)
         )
         auto.run(8)
-        sharded = _evolve_sharded(spec, init, 8, 2, "reference", obstacles=mask)
+        sharded = _evolve_sharded(spec, init, 8, 2, backend, obstacles=mask)
         assert np.array_equal(sharded, auto.state)
 
 
@@ -153,6 +174,116 @@ class TestShardRunnerValidation:
         top, _ = runner.boundary_rows()
         top[:] = 0xFF
         assert not np.array_equal(runner.interior[:BOUNDARY_ROWS], top)
+
+
+def _bitplane_runner(rows=64, cols=130, index=0):
+    spec = ModelSpec(kind="fhp7", rows=rows, cols=cols)
+    shard = plan_shards(rows, 2)[index]
+    init = spec.initial_state(0.3, 4)[shard.row_start : shard.row_stop]
+    return ShardRunner(spec.build(rows=shard.local_rows), shard, init, backend="bitplane")
+
+
+class TestResidentShard:
+    """On ``bitplane`` the slab stays packed between generations."""
+
+    def test_generation_converts_only_exchanged_rows(self, monkeypatch):
+        import repro.lgca.bitplane as bitplane
+
+        runner = _bitplane_runner()
+        converted = []
+        pack, unpack = bitplane.pack_state, bitplane.unpack_state
+
+        def counting_pack(state, num_channels):
+            converted.append(("pack", state.shape[0]))
+            return pack(state, num_channels)
+
+        def counting_unpack(planes, cols, out=None):
+            converted.append(("unpack", planes.shape[1]))
+            return unpack(planes, cols, out=out)
+
+        monkeypatch.setattr(bitplane, "pack_state", counting_pack)
+        monkeypatch.setattr(bitplane, "unpack_state", counting_unpack)
+        for _ in range(5):
+            top, bottom = runner.boundary_rows()
+            runner.set_halos(bottom, top)
+            runner.step()
+        shard = runner.shard
+        per_generation = [
+            ("unpack", BOUNDARY_ROWS),
+            ("unpack", BOUNDARY_ROWS),
+            ("pack", shard.halo_top),
+            ("pack", shard.halo_bottom),
+        ]
+        assert converted == per_generation * 5
+        converted.clear()
+        assert runner.interior.shape == (shard.slab_rows, 130)
+        assert converted == [("unpack", shard.slab_rows)]
+
+    def test_step_is_allocation_free(self):
+        import tracemalloc
+
+        runner = _bitplane_runner()
+        runner.step()
+        runner.step()
+        tracemalloc.start()
+        for _ in range(6):
+            runner.step()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 16_000, f"ShardRunner.step allocated {peak} bytes"
+
+    def test_kernel_timers_still_report(self):
+        """The resident path records the same ``kernel.bitplane.*``
+        handles a stepped shard did, so worker telemetry keeps its shape."""
+        from repro.telemetry import InMemoryRecorder
+
+        spec = ModelSpec(kind="fhp6", rows=16, cols=16)
+        shard = plan_shards(16, 2)[1]
+        rec = InMemoryRecorder()
+        runner = ShardRunner(
+            spec.build(rows=shard.local_rows), shard,
+            spec.initial_state(0.3, 1)[shard.row_start : shard.row_stop],
+            backend="bitplane", recorder=rec,
+        )
+        for _ in range(3):
+            runner.step()
+        snapshot = rec.snapshot()
+        assert snapshot["counters"]["kernel.bitplane.generations"] == 3
+        assert snapshot["counters"]["shard.generations"] == 3
+        assert snapshot["timers"]["kernel.bitplane.tick_seconds"]["count"] == 3
+        assert snapshot["timers"]["shard.step_seconds"]["count"] == 3
+
+    def test_interior_is_a_fresh_array(self):
+        runner = _bitplane_runner()
+        slab = runner.interior
+        before = slab.copy()
+        slab[...] = 0
+        assert np.array_equal(runner.interior, before)
+
+    def test_restored_runner_continues_bit_identically(self):
+        """A runner rebuilt from another's interior mid-run (a checkpoint
+        restore) evolves exactly like the one that kept running."""
+        spec = ModelSpec(kind="fhp6", rows=32, cols=70)
+        shard = plan_shards(32, 1)[0]
+        init = spec.initial_state(0.3, 6)
+
+        def runner(slab, time=0):
+            return ShardRunner(spec.build(rows=shard.local_rows), shard, slab,
+                               backend="bitplane", time=time)
+
+        def advance(r, generations):
+            for _ in range(generations):
+                top, bottom = r.boundary_rows()
+                r.set_halos(bottom, top)
+                r.step()
+
+        kept = runner(init)
+        advance(kept, 5)
+        restored = runner(kept.interior, time=kept.time)
+        advance(kept, 4)
+        advance(restored, 4)
+        assert restored.time == kept.time == 9
+        assert np.array_equal(restored.interior, kept.interior)
 
 
 class TestModelSpec:

@@ -107,6 +107,21 @@ class TestCheckpointRestart:
         assert "died" in report.restarts[0].reason
         assert np.array_equal(state, golden)
 
+    def test_killed_bitplane_worker_restarts_bit_identically(self, spec, golden):
+        """The restored incarnation packs its checkpoint into bit-planes
+        once and replays the halo history there."""
+        state, report = supervised_run(
+            config(
+                spec,
+                backend="bitplane",
+                induced=(InducedFault(worker=1, generation=6, kind="crash"),),
+            )
+        )
+        assert report.outcome == "complete"
+        assert len(report.restarts) == 1
+        assert report.restarts[0].backend == "bitplane"
+        assert np.array_equal(state, golden)
+
     def test_both_workers_killed_at_different_gens(self, spec, golden):
         state, report = supervised_run(
             config(
