@@ -196,13 +196,6 @@ class SupervisorConfig:
                 raise ConfigError(
                     f"unknown backend {name!r}; available: {', '.join(known)}"
                 )
-            if name == "parallel":
-                raise ConfigError(
-                    "backend 'parallel' runs its own thread pool per stepper "
-                    "and cannot be nested under process-level sharding; the "
-                    "supervisor already parallelizes across workers — use "
-                    "'bitplane' (or 'reference') per worker"
-                )
         if self.spec.boundary not in _SHARDABLE_BOUNDARIES:
             raise ConfigError(
                 f"boundary={self.spec.boundary!r} cannot be sharded "

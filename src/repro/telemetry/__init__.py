@@ -49,7 +49,6 @@ from repro.telemetry.merge import (
 from repro.telemetry.report import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
-    SUPPORTED_VERSIONS,
     TelemetryError,
     TelemetryReport,
     check_report,
@@ -79,7 +78,6 @@ __all__ = [
     "NULL_RECORDER",
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
-    "SUPPORTED_VERSIONS",
     "TelemetryError",
     "TelemetryReport",
     "check_report",

@@ -206,7 +206,7 @@ def _shifted_spans(
     """Re-based, clock-aligned copies of one process's spans.
 
     Indices shift by ``base_index`` and parents follow, so the merged
-    list preserves the v1 invariant (parent is -1 or an earlier index)
+    list preserves the schema invariant (parent is -1 or an earlier index)
     per process block; ``process`` tags every span with its origin.
     """
     out: list[dict[str, object]] = []

@@ -20,13 +20,12 @@ CI telemetry-smoke job, the bench assertions) agree on one layout:
       "processes": [{"name": "worker-00.00", "kind": "worker", "...": "..."}]
     }
 
-Schema **v2** (current) adds two things over v1: a mandatory
-``meta.run`` block identifying the producing process (hostname, pid,
-python version, cpu count, repro version, producing subsystem), and an
-optional ``processes`` list carrying per-process counter/timer
-attribution for multi-process reports merged from worker spools (see
-:mod:`repro.telemetry.merge`).  v1 payloads still load: ``meta.run``
-and ``processes`` are tolerated as absent.
+Schema **v2**, the only version, has a mandatory ``meta.run`` block
+identifying the producing process (hostname, pid, python version, cpu
+count, repro version, producing subsystem), and a ``processes`` list
+carrying per-process counter/timer attribution for multi-process
+reports merged from worker spools (see :mod:`repro.telemetry.merge`).
+A payload at any other ``schema_version`` fails validation.
 
 ``validate_report`` returns a list of problems instead of raising so CI
 can print all of them; :func:`check_report` is the raising form used by
@@ -49,7 +48,6 @@ from repro.util.errors import ReproError
 __all__ = [
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
-    "SUPPORTED_VERSIONS",
     "TelemetryError",
     "TelemetryReport",
     "run_metadata",
@@ -59,11 +57,8 @@ __all__ = [
 
 #: Telemetry report schema identity.
 SCHEMA_NAME = "repro-telemetry"
-#: The version new reports are written at.
+#: The version reports are written at, and the only one accepted.
 SCHEMA_VERSION = 2
-#: Versions ``validate_report`` accepts (v1 predates ``meta.run`` and
-#: ``processes``; both are tolerated as absent there).
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Keys every timer mapping must carry.
 _TIMER_KEYS = (
@@ -112,7 +107,7 @@ class TelemetryReport:
     """One run's telemetry: counters, timers, spans, events, metadata.
 
     ``processes`` is empty for single-process reports; merged
-    multi-process reports (schema v2, built by
+    multi-process reports (built by
     :func:`repro.telemetry.merge.merge_processes`) carry one entry per
     participating process with its own counters/timers, while the
     top-level sections hold the cross-process aggregate.
@@ -124,7 +119,6 @@ class TelemetryReport:
     events: list[dict] = field(default_factory=list)
     meta: dict[str, object] = field(default_factory=dict)
     processes: list[dict] = field(default_factory=list)
-    version: int = SCHEMA_VERSION
 
     @classmethod
     def from_recorder(
@@ -153,18 +147,16 @@ class TelemetryReport:
 
     def to_dict(self) -> dict[str, object]:
         """JSON-serializable form (schema-versioned)."""
-        payload: dict[str, object] = {
+        return {
             "schema": SCHEMA_NAME,
-            "schema_version": self.version,
+            "schema_version": SCHEMA_VERSION,
             "meta": self.meta,
             "counters": self.counters,
             "timers": self.timers,
             "spans": self.spans,
             "events": self.events,
+            "processes": self.processes,
         }
-        if self.version >= 2:
-            payload["processes"] = self.processes
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "TelemetryReport":
@@ -177,7 +169,6 @@ class TelemetryReport:
             events=list(payload["events"]),  # type: ignore[arg-type]
             meta=dict(payload.get("meta", {})),  # type: ignore[arg-type]
             processes=list(payload.get("processes", [])),  # type: ignore[arg-type]
-            version=int(payload["schema_version"]),  # type: ignore[arg-type]
         )
 
     def write_json(self, path: str | Path) -> None:
@@ -207,7 +198,7 @@ class TelemetryReport:
 
     def summary_lines(self) -> list[str]:
         """Human-readable digest for ``repro telemetry summarize``."""
-        lines = [f"telemetry report (schema {SCHEMA_NAME} v{self.version})"]
+        lines = [f"telemetry report (schema {SCHEMA_NAME} v{SCHEMA_VERSION})"]
         plain_meta = {k: v for k, v in self.meta.items() if k != "run"}
         if plain_meta:
             pairs = ", ".join(f"{k}={v}" for k, v in sorted(plain_meta.items()))
@@ -291,7 +282,7 @@ class TelemetryReport:
             events_by_name[name] = events_by_name.get(name, 0) + 1
         return {
             "schema": SCHEMA_NAME,
-            "schema_version": self.version,
+            "schema_version": SCHEMA_VERSION,
             "meta": self.meta,
             "counters": dict(sorted(self.counters.items())),
             "timers": {
@@ -321,10 +312,10 @@ class TelemetryReport:
 
 
 def _validate_run_block(meta: Mapping[str, object], problems: list[str]) -> None:
-    """v2 rule: ``meta.run`` must exist and carry the identity keys."""
+    """``meta.run`` must exist and carry the identity keys."""
     run = meta.get("run")
     if not isinstance(run, Mapping):
-        problems.append("v2 report must carry a meta.run mapping (see run_metadata)")
+        problems.append("report must carry a meta.run mapping (see run_metadata)")
         return
     missing = [k for k in _RUN_KEYS if k not in run]
     if missing:
@@ -332,7 +323,7 @@ def _validate_run_block(meta: Mapping[str, object], problems: list[str]) -> None
 
 
 def _validate_processes(payload: Mapping[str, object], problems: list[str]) -> None:
-    """v2 rule: ``processes`` entries need a name and well-formed sections."""
+    """``processes`` entries need a name and well-formed sections."""
     processes = payload.get("processes")
     if processes is None:
         return
@@ -356,9 +347,8 @@ def _validate_processes(payload: Mapping[str, object], problems: list[str]) -> N
 def validate_report(payload: object) -> list[str]:
     """All schema problems with ``payload`` (empty list = valid report).
 
-    Accepts every version in :data:`SUPPORTED_VERSIONS`: v2 reports
-    must stamp ``meta.run`` and may carry ``processes``; v1 reports are
-    validated by the original rules with both tolerated as absent.
+    The ``schema_version`` must be :data:`SCHEMA_VERSION`; the report
+    must stamp ``meta.run`` and may carry ``processes``.
     """
     problems: list[str] = []
     if not isinstance(payload, Mapping):
@@ -368,10 +358,10 @@ def validate_report(payload: object) -> list[str]:
             f"schema is {payload.get('schema')!r}, expected {SCHEMA_NAME!r}"
         )
     version = payload.get("schema_version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != SCHEMA_VERSION:
         problems.append(
-            f"schema_version is {version!r}, "
-            f"expected one of {', '.join(map(str, SUPPORTED_VERSIONS))}"
+            f"schema_version is {version!r}, expected {SCHEMA_VERSION} "
+            f"(the only supported version)"
         )
     counters = payload.get("counters")
     if not isinstance(counters, Mapping):
@@ -419,10 +409,9 @@ def validate_report(payload: object) -> list[str]:
     meta = payload.get("meta", {})
     if not isinstance(meta, Mapping):
         problems.append("meta must be a mapping")
-    elif isinstance(version, int) and version >= 2:
+    else:
         _validate_run_block(meta, problems)
-    if isinstance(version, int) and version >= 2:
-        _validate_processes(payload, problems)
+    _validate_processes(payload, problems)
     return problems
 
 

@@ -38,9 +38,6 @@ HOT_PATH_REGISTRY: frozenset[str] = frozenset(
         "CollisionNetwork.run",
         "BitplaneStepper.step",
         "BitplaneStepper.run",
-        "ParallelStepper._advance_tile",
-        "ParallelStepper.step",
-        "ParallelStepper.run",
         "ReferenceStepper._advance",
         "ReferenceStepper.step",
         "ReferenceStepper.run",

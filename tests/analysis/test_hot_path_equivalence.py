@@ -18,7 +18,6 @@ from repro.lgca.automaton import LatticeGasAutomaton
 from repro.lgca.backends import BitplaneStepper, FieldResident, PlaneResident, ReferenceStepper
 from repro.lgca.bitplane import BitplaneKernel, CollisionNetwork
 from repro.lgca.fhp import FHPModel
-from repro.lgca.parallel import ParallelStepper
 from repro.lgca.flows import uniform_random_state
 from repro.lgca.hpp import HPPModel
 from repro.runtime.sharding import ShardRunner
@@ -59,7 +58,6 @@ class TestRegistryIntegrity:
         "BitplaneKernel": BitplaneKernel,
         "CollisionNetwork": CollisionNetwork,
         "BitplaneStepper": BitplaneStepper,
-        "ParallelStepper": ParallelStepper,
         "ReferenceStepper": ReferenceStepper,
         "FieldResident": FieldResident,
         "PlaneResident": PlaneResident,

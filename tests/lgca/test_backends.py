@@ -19,7 +19,6 @@ from repro.lgca.backends import (
     KernelStepper,
     ReferenceStepper,
     available_backends,
-    check_backend_options,
     get_backend,
     make_stepper,
     register_backend,
@@ -35,15 +34,14 @@ GENERATIONS = 8  # enough for propagation to wrap small lattices
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = [b.name for b in available_backends()]
-        assert names == ["bitplane", "parallel", "reference"]
+        assert names == ["bitplane", "reference"]
 
     def test_get_backend(self):
         assert get_backend("reference").factory is ReferenceStepper
         assert get_backend("bitplane").factory is BitplaneStepper
-        assert get_backend("parallel").options == ("workers",)
 
     def test_unknown_backend_lists_choices_sorted(self):
-        with pytest.raises(ConfigError, match="bitplane, parallel, reference"):
+        with pytest.raises(ConfigError, match="bitplane, reference"):
             get_backend("vectorized")
 
     def test_duplicate_registration_rejected(self):
@@ -52,11 +50,11 @@ class TestRegistry:
                 Backend(name="reference", description="dup", factory=ReferenceStepper)
             )
         # the error names the existing choices, sorted
-        assert "bitplane, parallel, reference" in str(exc.value)
+        assert "bitplane, reference" in str(exc.value)
 
     def test_make_stepper_satisfies_protocol(self):
         model = HPPModel(4, 4)
-        for name in ("reference", "bitplane", "parallel"):
+        for name in ("reference", "bitplane"):
             assert isinstance(make_stepper(model, backend=name), KernelStepper)
 
     def test_automaton_rejects_unknown_backend(self):
@@ -64,17 +62,6 @@ class TestRegistry:
         state = np.zeros((4, 4), dtype=np.uint8)
         with pytest.raises(ValueError, match="unknown backend"):
             LatticeGasAutomaton(model, state, backend="nope")
-
-    def test_unknown_option_rejected_uniformly(self):
-        for name in ("reference", "bitplane"):
-            with pytest.raises(ConfigError, match="does not accept option"):
-                check_backend_options(name, {"workers": 2})
-        with pytest.raises(ConfigError, match="does not accept option"):
-            make_stepper(HPPModel(4, 4), backend="bitplane", workers=2)
-
-    def test_none_options_are_ignored(self):
-        assert check_backend_options("reference", {"workers": None}) == {}
-        assert check_backend_options("parallel", {"workers": 2}) == {"workers": 2}
 
 
 def _trajectories_equal(model, state, *, obstacles=None, seed=None):
@@ -252,12 +239,7 @@ class TestStepperContracts:
         assert total_mass(auto.state, 6) == mass0
 
 
-BACKENDS = ("reference", "bitplane", "parallel")
-
-
-def _stepper(model, backend, obstacles=None):
-    options = {"workers": 2} if backend == "parallel" else {}
-    return make_stepper(model, obstacles=obstacles, backend=backend, **options)
+BACKENDS = ("reference", "bitplane")
 
 
 class TestResidentState:
@@ -280,7 +262,7 @@ class TestResidentState:
         state = _state(4, rows, cols, model.num_channels)
         state[mask] = 0
         expected = make_stepper(model, obstacles=mask).run(state, GENERATIONS)
-        lattice = _stepper(model, backend, obstacles=mask).resident(state)
+        lattice = make_stepper(model, obstacles=mask, backend=backend).resident(state)
         for t in range(GENERATIONS):
             lattice.advance(t)
         np.testing.assert_array_equal(lattice.read_rows(0, rows), expected)
@@ -290,7 +272,7 @@ class TestResidentState:
         model = FHPModel(6, 70, chirality="random")
         state = _state(2, 6, 70, 6)
         expected = make_stepper(model).run(state, 5, rng=np.random.default_rng(9))
-        lattice = _stepper(model, backend).resident(state)
+        lattice = make_stepper(model, backend=backend).resident(state)
         rng = np.random.default_rng(9)
         for t in range(5):
             lattice.advance(t, rng)
@@ -300,7 +282,7 @@ class TestResidentState:
     def test_row_writes_and_reads(self, backend):
         model = FHPModel(8, 100, rest_particles=True)
         state = _state(5, 8, 100, 7)
-        lattice = _stepper(model, backend).resident(state)
+        lattice = make_stepper(model, backend=backend).resident(state)
         rows = _state(6, 2, 100, 7)
         lattice.write_rows(3, rows)
         lattice.clear_rows(6, 8)
@@ -315,7 +297,7 @@ class TestResidentState:
         model = HPPModel(6, 20)
         state = _state(1, 6, 20, 4)
         before = state.copy()
-        lattice = _stepper(model, backend).resident(state)
+        lattice = make_stepper(model, backend=backend).resident(state)
         state[...] = 0
         read = lattice.read_rows(0, 6)
         np.testing.assert_array_equal(read, before)
@@ -327,7 +309,7 @@ class TestResidentState:
         bad = np.full((4, 4), 0xFF, dtype=np.uint8)
         for backend in BACKENDS:
             with pytest.raises(ValueError):
-                _stepper(model, backend).resident(bad)
+                make_stepper(model, backend=backend).resident(bad)
 
     def test_bitplane_advance_is_allocation_free(self):
         import tracemalloc

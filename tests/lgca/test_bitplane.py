@@ -269,16 +269,17 @@ class TestRowBlocks:
         expected[mask] = bounced[mask]
         assert np.array_equal(kernel.unpack(out), expected)
 
-    def test_external_chirality(self, rows):
+    def test_random_chirality(self, rows):
         model = self._model(rows, self.COLS, chirality="random")
         kernel = BitplaneKernel(model)
-        field = model.chirality_field(0, np.random.default_rng(rows + 2))
-        kernel.set_external_chirality((pack_plane(field), pack_plane(~field)))
         state = uniform_random_state(rows, self.COLS, 7, 0.4, np.random.default_rng(rows))
         planes, out = kernel.pack(state), kernel.alloc_planes()
-        kernel.collide_into(planes, out, 0)
-        expected = model.collide(state, 0, np.random.default_rng(rows + 2))
-        assert np.array_equal(kernel.unpack(out), expected)
+        kernel_rng = np.random.default_rng(rows + 2)
+        model_rng = np.random.default_rng(rows + 2)
+        for t in (0, 1):
+            kernel.collide_into(planes, out, t, kernel_rng)
+            expected = model.collide(state, t, model_rng)
+            assert np.array_equal(kernel.unpack(out), expected)
 
 
 class TestKernel:

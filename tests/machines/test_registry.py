@@ -178,21 +178,12 @@ class TestDescribe:
         assert "lanes" in payload["parameters"]["accepted"]
         assert set(payload["capabilities"]) == {
             "backends",
-            "backend_options",
             "fault_hooks",
             "tickwise",
             "side_channel",
             "degradable",
         }
         assert payload["design"]  # non-empty design-model summary
-
-    def test_backend_options_reflect_registry(self):
-        """The payload's per-backend options come from the live backend
-        registry, so they can never drift from what make_stepper enforces."""
-        for spec in machines.specs():
-            caps = spec.describe()["capabilities"]
-            assert caps["backend_options"] == {"parallel": ["workers"]}
-            assert "workers" in spec.parameters
 
     def test_payload_is_json_serializable(self):
         import json

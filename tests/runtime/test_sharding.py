@@ -33,21 +33,6 @@ class TestPlanShards:
         with pytest.raises(ConfigError, match="at least"):
             plan_shards(6, 4)
 
-    @pytest.mark.parametrize("rows,workers", [(16, 2), (17, 3), (23, 5)])
-    def test_edge_halos_false_strips_outer_halos(self, rows, workers):
-        """Walled lattices: the first/last slab's frame edge must BE the
-        lattice edge, so local reflections fire at the true wall."""
-        shards = plan_shards(rows, workers, edge_halos=False)
-        assert shards[0].halo_top == 0
-        assert shards[-1].halo_bottom == 0
-        for shard in shards[1:]:
-            assert shard.halo_top >= 1
-        for shard in shards[:-1]:
-            assert shard.halo_bottom >= 1
-        # interior slab frames keep the even-start parity invariant
-        for shard in shards:
-            assert (shard.row_start - shard.halo_top) % 2 == 0
-
     def test_local_row_indices_wrap(self):
         shard = plan_shards(16, 2)[1]  # bottom slab wraps past the edge
         idx = shard.local_row_indices(16)

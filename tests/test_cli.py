@@ -136,35 +136,17 @@ class TestSimulate:
         assert code == 0
         assert "bit-exact" in capsys.readouterr().out
 
-    def test_parallel_backend(self, capsys):
-        args = [
-            "simulate", "--model", "fhp7", "--rows", "16", "--cols", "70",
-            "--steps", "8", "--backend", "parallel", "--workers", "2",
-        ]
-        assert main(args) == 0
+    def test_unknown_backend_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--backend", "parallel", "--steps", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'parallel'" in capsys.readouterr().err
 
-    def test_parallel_backend_engine_bit_exact(self, capsys):
-        args = [
-            "simulate", "--model", "hpp", "--rows", "12", "--cols", "66",
-            "--steps", "6", "--engine", "wsa", "--backend", "parallel",
-            "--workers", "3",
-        ]
-        assert main(args) == 0
-        assert "bit-exact" in capsys.readouterr().out
-
-    def test_workers_without_parallel_backend_is_uniform_error(self, capsys):
-        args = [
-            "simulate", "--backend", "bitplane", "--workers", "2", "--steps", "2",
-        ]
-        assert main(args) == 2
-        assert "does not accept option" in capsys.readouterr().err
-
-    def test_bad_workers_value_is_usage_error(self, capsys):
-        args = [
-            "simulate", "--backend", "parallel", "--workers", "zero", "--steps", "2",
-        ]
-        assert main(args) == 2
-        assert "workers" in capsys.readouterr().err
+    def test_workers_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--backend", "bitplane", "--workers", "2", "--steps", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestBounds:
@@ -429,31 +411,35 @@ class TestRun:
         assert main(args) == 2
         assert "meteor" in capsys.readouterr().err
 
-    def test_direct_run_parallel_backend(self, capsys):
+    def test_direct_run_rejects_workers(self, capsys):
         args = [
             "run", "--rows", "32", "--cols", "32", "--generations", "4",
-            "--backend", "parallel", "--workers", "2",
+            "--backend", "bitplane", "--workers", "2",
         ]
-        assert main(args) == 0
-        assert "Direct run" in capsys.readouterr().out
+        assert main(args) == 2
+        assert "requires --supervised" in capsys.readouterr().err
 
     def test_supervised_rejects_parallel_backend(self, capsys):
         args = ["run", "--supervised", "--backend", "parallel"]
-        assert main(args) == 2
-        assert "parallel" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "invalid choice: 'parallel'" in capsys.readouterr().err
 
     def test_supervised_rejects_non_integer_workers(self, capsys):
         args = ["run", "--supervised", "--workers", "auto"]
         assert main(args) == 2
         assert "integer" in capsys.readouterr().err
 
-    def test_faults_rejects_workers_with_wrong_backend(self, capsys):
-        args = ["faults", "--backend", "bitplane", "--workers", "2"]
-        assert main(args) == 2
-        assert "does not accept option" in capsys.readouterr().err
+    def test_faults_rejects_workers(self, capsys):
+        args = ["faults", "--workers", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_faults_rejects_non_reference_backend(self, capsys):
-        args = ["faults", "--backend", "parallel", "--workers", "2"]
+        args = ["faults", "--backend", "bitplane"]
         assert main(args) == 2
         assert "reference" in capsys.readouterr().err
 
