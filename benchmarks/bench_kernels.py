@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.lgca.backends import make_stepper
+from repro.lgca.backends import evolve, make_stepper
 from repro.lgca.fhp import FHPModel
 from repro.lgca.flows import uniform_random_state
 from repro.lgca.hpp import HPPModel
@@ -112,7 +112,7 @@ def test_engine_stage_vectorized(benchmark, report, fhp_state):
 
 def test_bitplane_step(benchmark, report, fhp_state):
     stepper = make_stepper(FHPModel(SIZE, SIZE), backend="bitplane")
-    benchmark(stepper.run, fhp_state, 8)
+    benchmark(evolve, stepper, fhp_state, 8)
     table = Table(
         "kernel: FHP-6 bitplane backend (8 generations)", ["quantity", "value"]
     )
@@ -168,13 +168,13 @@ def measure_backend(
     rng = np.random.default_rng(seed)
     state = uniform_random_state(size, size, model.num_channels, density, rng)
     stepper = make_stepper(model, backend=backend)
-    stepper.run(state, generations)  # warmup, untimed
+    evolve(stepper, state, generations)  # warmup, untimed
     rec = recorder if recorder is not None else InMemoryRecorder(clock=PERF_COUNTER)
     clk = rec.clock
     timer = rec.timer(_cell_timer_name(model_name, size, backend))
     for _ in range(repeats):
         start = clk()
-        stepper.run(state, generations)
+        evolve(stepper, state, generations)
         timer.record(clk() - start)
     best = timer.min
     updates = generations * size * size

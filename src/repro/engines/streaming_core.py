@@ -34,11 +34,7 @@ from repro.engines.pe import PostCollideHook, SiteUpdateRule, make_rule
 from repro.engines.shiftreg import ShiftRegister
 from repro.engines.stats import EngineRunStats
 from repro.lgca.automaton import SiteModel
-from repro.lgca.backends import (
-    KernelStepper,
-    get_backend,
-    make_stepper,
-)
+from repro.lgca.backends import KernelStepper, check_backend, evolve, make_stepper
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.hotpath import hot_path
 from repro.util.validation import check_nonnegative, check_positive
@@ -56,14 +52,14 @@ def _make_engine_stepper(
 
     ``None`` means "stream every site through the PE stage" (the
     reference dataflow the engines exist to model).  Any other
-    registered backend evolves frames with its stepper instead — the
+    backend evolves frames with its stepper instead — the
     evolution is identical (the backends are bit-exact by contract and
     by test), only wall-clock speed changes.  Fault-injection hooks
     mutate values *inside* the stream, so they require the reference
-    dataflow.
+    dataflow.  The name is checked without building a stepper, whose
+    lattice buffers the reference dataflow would never use.
     """
-    get_backend(backend)  # uniform name validation and error message
-    if backend == "reference":
+    if check_backend(backend) == "reference":
         return None
     if post_collide is not None:
         raise ValueError("fault-injection hooks require backend='reference'")
@@ -284,10 +280,11 @@ class StreamingEngineCore:
         Kernel backend evolving the frames (see
         :mod:`repro.lgca.backends`).  ``"reference"`` streams every site
         through the PE stage; ``"bitplane"`` computes the (identical)
-        evolution with the multi-spin coded kernels — much faster for
-        large frames.  Stats accounting is unchanged: it models the
-        *hardware*, which is the same machine either way.  Fault hooks
-        and tick-accurate simulation require the reference backend.
+        evolution with the multi-spin coded kernels, packing the frame
+        once per :meth:`run` — much faster for large frames.  Stats
+        accounting is unchanged: it models the *hardware*, which is the
+        same machine either way.  Fault hooks and tick-accurate
+        simulation require the reference backend.
     recorder:
         Optional :class:`~repro.telemetry.Recorder`.  :meth:`run` emits
         run/pass spans and keeps its accounting on recorder counters
@@ -390,7 +387,6 @@ class StreamingEngineCore:
         if tickwise and self._stepper is not None:
             raise ValueError("tickwise simulation requires backend='reference'")
         frame = self.model.check_state(frame)
-        stream = frame.ravel().copy()
         n = self.num_sites
         d = self.model.bits_per_site
         shape = (self.model.rows, self.model.cols)
@@ -406,24 +402,27 @@ class StreamingEngineCore:
         done = 0
         t = start_time
         with rec.span("engine.run", generation=start_time):
+            if self._stepper is not None:
+                # One conversion in and out per run; the passes below
+                # then only account for the modelled hardware.
+                stream = evolve(self._stepper, frame, generations, start_time).ravel()
+            else:
+                stream = frame.ravel().copy()
             while done < generations:
                 span = min(self.pipeline_depth, generations - done)
                 with rec.span("engine.pass", tick=ticks_c.value - ticks0, generation=t):
-                    if self._stepper is not None:
-                        stream = self._stepper.run(stream.reshape(shape), span, t).ravel()
-                        t += span
-                    else:
-                        for _ in range(span):
-                            stream = self._advance_stream(stream, t, tickwise)
-                            t += 1
+                    if self._stepper is None:
+                        for g in range(t, t + span):
+                            stream = self._advance_stream(stream, g, tickwise)
+                t += span
                 ticks_c.add(self.ticks_per_pass(span))
                 io_c.add(2 * d * n)  # read every site once, write every site once
                 side_c.add(span * per_pass_side)
                 updates_c.add(span * n)
                 passes_c.add(1)
                 done += span
-        if generations > 0:
-            # Detach from the stepper's (or the stage's) internal buffer.
+        if self._stepper is None and generations > 0:
+            # Detach from the stage's internal buffer.
             stream = stream.copy()
         stats = EngineRunStats(
             name=self.name,

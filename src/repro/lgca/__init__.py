@@ -17,9 +17,9 @@ paper builds its engines for:
   engine simulator is verified against, with obstacles and boundaries.
 * :mod:`repro.lgca.bitplane` — multi-spin coded kernels (64 sites per
   ``uint64`` word) with collision logic compiled from the verified tables.
-* :mod:`repro.lgca.backends` — the kernel-backend registry through which
-  the automaton, the engine simulators, and the CLI select ``reference``
-  or ``bitplane`` stepping uniformly.
+* :mod:`repro.lgca.backends` — one stepper per kernel backend, holding
+  its lattice, through which the automaton, the engine simulators, and
+  the CLI select ``reference`` or ``bitplane`` stepping uniformly.
 * :mod:`repro.lgca.observables` — coarse-grained density/momentum fields
   and the Reynolds-number scaling helpers of reference [10].
 * :mod:`repro.lgca.flows` — initial conditions (uniform, shear, channel,
@@ -61,15 +61,7 @@ from repro.lgca.diagnostics import (
 )
 from repro.lgca.ndim import NDHPPModel, ndhpp_collision_table, ndhpp_velocities
 from repro.lgca.automaton import LatticeGasAutomaton, ObstacleMap
-from repro.lgca.backends import (
-    Backend,
-    KernelStepper,
-    ResidentState,
-    available_backends,
-    get_backend,
-    make_stepper,
-    register_backend,
-)
+from repro.lgca.backends import BACKENDS, KernelStepper, evolve, make_stepper
 from repro.lgca.bitplane import BitplaneKernel, pack_state, unpack_state
 from repro.lgca.observables import (
     density_field,
@@ -115,13 +107,10 @@ __all__ = [
     "ndhpp_velocities",
     "LatticeGasAutomaton",
     "ObstacleMap",
-    "Backend",
+    "BACKENDS",
     "KernelStepper",
-    "ResidentState",
-    "available_backends",
-    "get_backend",
+    "evolve",
     "make_stepper",
-    "register_backend",
     "BitplaneKernel",
     "pack_state",
     "unpack_state",

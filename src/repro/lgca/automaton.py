@@ -21,6 +21,7 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.lgca.backends import KernelStepper, evolve, make_stepper
 from repro.lgca.bits import bounce_back_table
 from repro.util.validation import check_nonnegative
 
@@ -122,11 +123,9 @@ class LatticeGasAutomaton:
     time: int = 0
     backend: str = "reference"
     recorder: object = None
-    _stepper: object = field(init=False, repr=False)
+    _stepper: KernelStepper = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        from repro.lgca.backends import make_stepper
-
         self.state = self.model.check_state(self.state).copy()
         self.time = check_nonnegative(self.time, "time", integer=True)
         if self.obstacles is not None and self.obstacles.shape != self.state.shape:
@@ -165,32 +164,22 @@ class LatticeGasAutomaton:
     def step(self) -> np.ndarray:
         """Advance one generation; returns the new state (also stored).
 
-        Delegates to the selected backend's stepper; the returned array
-        is a fresh copy, so callers may hold on to successive states.
+        The returned array is fresh, so callers may hold on to
+        successive states.
         """
-        from repro.lgca.backends import KernelStepper
-
-        stepper = self._stepper
-        assert isinstance(stepper, KernelStepper)
-        self.state = stepper.step(self.state, self.time, self.rng).copy()
-        self.time += 1
-        return self.state
+        return self.run(1)
 
     def run(self, generations: int) -> np.ndarray:
         """Advance ``generations`` steps; returns the final state.
 
-        This is the fast path: the backend stepper advances all
-        generations with preallocated double buffers (zero allocation in
-        steady state) and the result is copied back once at the end.
+        This is the fast path: the backend stepper converts the state in
+        once, advances all generations in its own storage without
+        allocating, and the result is read back once at the end.
         """
-        from repro.lgca.backends import KernelStepper
-
         generations = check_nonnegative(generations, "generations", integer=True)
         if generations == 0:
             return self.state
-        stepper = self._stepper
-        assert isinstance(stepper, KernelStepper)
-        self.state = stepper.run(self.state, generations, self.time, self.rng).copy()
+        self.state = evolve(self._stepper, self.state, generations, self.time, self.rng)
         self.time += generations
         return self.state
 

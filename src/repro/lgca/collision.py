@@ -188,6 +188,9 @@ class CollisionTable:
         ``uint8`` — no ``.astype`` copy needed by callers), and ``out``
         accepts a preallocated result buffer of the same shape and dtype
         for zero-allocation stepping.  ``out`` must not alias ``states``.
+        Indices are not bounds-checked on that path (``mode="clip"``):
+        numpy's default ``mode="raise"`` buffers the whole output in a
+        temporary, and the callers have validated the states.
         """
         if np.isscalar(states):
             return int(self.table[int(states)])
@@ -197,7 +200,7 @@ class CollisionTable:
         table = self._table_for(states.dtype)
         if out is None:
             return table[states]
-        return np.take(table, states, out=out)
+        return np.take(table, states, out=out, mode="clip")
 
     def is_identity(self) -> bool:
         """Whether the table is a no-op (useful in tests)."""

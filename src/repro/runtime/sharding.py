@@ -9,10 +9,11 @@ lattice row-major, which makes slab views and halo rows contiguous.
 The slab geometry itself — :class:`~repro.lattice.slabs.Shard` and
 :func:`~repro.lattice.slabs.plan_shards` — lives in
 :mod:`repro.lattice.slabs`; this module re-exports it and adds the
-process-level :class:`ShardRunner` on top.  This is the repo's one
-parallelism layer; there is no thread-level kernel backend.  See the slab
-planner's docstring for the halo-size invariants (even local start row,
-even local frame) and why refreshing two boundary rows per side per
+process-level :class:`ShardRunner` on top, which holds its slab in one
+kernel stepper, loaded once.  This is the repo's one parallelism layer;
+there is no thread-level kernel backend.  See the slab planner's
+docstring for the halo-size invariants (even local start row, even
+local frame) and why refreshing two boundary rows per side per
 generation makes the slab interiors evolve bit-identically to the
 whole-lattice run.
 
@@ -42,14 +43,13 @@ class ShardRunner:
     Pure in-process logic (no pipes, no processes) so the sharded
     evolution is testable — and benchmarkable — without a supervisor.
 
-    The local frame lives in the backend's own storage for the runner's
-    whole life (:meth:`KernelStepper.resident
-    <repro.lgca.backends.KernelStepper.resident>`): on ``"bitplane"``
-    it is packed once here, and a generation converts only the
-    :data:`BOUNDARY_ROWS` rows per side published by
-    :meth:`boundary_rows` and the halo rows written by
-    :meth:`set_halos`.  The whole slab is unpacked only when
-    :attr:`interior` is read — at checkpoints and at collection.
+    The local frame lives in a backend stepper
+    (:class:`~repro.lgca.backends.KernelStepper`) for the runner's whole
+    life: on ``"bitplane"`` it is packed once here, and a generation
+    converts only the :data:`BOUNDARY_ROWS` rows per side published by
+    :meth:`boundary_rows` and the halo rows written by :meth:`set_halos`.
+    The whole slab is unpacked only when :attr:`interior` is read — at
+    checkpoints and at collection.
 
     Parameters
     ----------
@@ -104,12 +104,12 @@ class ShardRunner:
 
         obstacles = None if obstacles_mask is None else ObstacleMap(obstacles_mask)
         rec = recorder if recorder is not None else NULL_RECORDER
-        stepper = make_stepper(
-            model, obstacles=obstacles, backend=backend, recorder=recorder
-        )
         local = np.zeros((shard.local_rows, cols), dtype=np.uint8)
         local[shard.interior] = initial_slab
-        self._lattice = stepper.resident(local)
+        self._lattice = make_stepper(
+            model, obstacles=obstacles, backend=backend, recorder=recorder
+        )
+        self._lattice.load(local)
         self._slab_stop = shard.halo_top + shard.slab_rows
         # Pre-bound handles (see OBSERVABILITY.md): free under the null
         # recorder, allocation-free per generation under a real one.

@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.lgca.backends import available_backends
+from repro.lgca.backends import check_backend
 from repro.resilience.checkpoint import CheckpointStore
 from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.modelspec import ModelSpec
@@ -190,12 +190,8 @@ class SupervisorConfig:
         check_nonnegative(self.breaker_cooldown, "breaker_cooldown")
         if self.deadline_seconds is not None:
             check_positive(self.deadline_seconds, "deadline_seconds")
-        known = tuple(b.name for b in available_backends())
-        for name in (self.backend, self.fallback_backend):
-            if name not in known:
-                raise ConfigError(
-                    f"unknown backend {name!r}; available: {', '.join(known)}"
-                )
+        check_backend(self.backend)
+        check_backend(self.fallback_backend)
         if self.spec.boundary not in _SHARDABLE_BOUNDARIES:
             raise ConfigError(
                 f"boundary={self.spec.boundary!r} cannot be sharded "

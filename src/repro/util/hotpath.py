@@ -36,13 +36,8 @@ HOT_PATH_REGISTRY: frozenset[str] = frozenset(
         "BitplaneKernel.collide_into",
         "BitplaneKernel.propagate_into",
         "CollisionNetwork.run",
-        "BitplaneStepper.step",
-        "BitplaneStepper.run",
-        "ReferenceStepper._advance",
-        "ReferenceStepper.step",
-        "ReferenceStepper.run",
-        "FieldResident.advance",
-        "PlaneResident.advance",
+        "BitplaneStepper.advance",
+        "ReferenceStepper.advance",
         "ShardRunner.step",
         "PipelineStage.process",
         "StreamingEngineCore._advance_stream",

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.engines.pe import make_rule
 from repro.engines.pipeline import PipelineStage, SerialPipelineEngine
 from repro.lgca.automaton import LatticeGasAutomaton
-from repro.lgca.backends import BitplaneStepper, FieldResident, PlaneResident, ReferenceStepper
+from repro.lgca.backends import BitplaneStepper, ReferenceStepper
 from repro.lgca.bitplane import BitplaneKernel, CollisionNetwork
 from repro.lgca.fhp import FHPModel
 from repro.lgca.flows import uniform_random_state
@@ -59,8 +59,6 @@ class TestRegistryIntegrity:
         "CollisionNetwork": CollisionNetwork,
         "BitplaneStepper": BitplaneStepper,
         "ReferenceStepper": ReferenceStepper,
-        "FieldResident": FieldResident,
-        "PlaneResident": PlaneResident,
         "ShardRunner": ShardRunner,
         "PipelineStage": PipelineStage,
     }

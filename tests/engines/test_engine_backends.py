@@ -64,6 +64,48 @@ def test_partitioned_exchange_accounting_independent_of_backend():
     )
 
 
+def test_bitplane_engine_converts_once_per_run(monkeypatch):
+    """The frame is packed once and unpacked once per ``run``, however
+    many passes the run takes (depth 2 over 7 generations is 4 passes)."""
+    import repro.lgca.bitplane as bitplane
+
+    model = FHPModel(8, 70, boundary="null")
+    engine = SerialPipelineEngine(model, pipeline_depth=2, backend="bitplane")
+    state = _state(model)
+    converted = []
+    pack, unpack = bitplane.pack_state, bitplane.unpack_state
+
+    def counting_pack(state, num_channels):
+        converted.append(("pack", state.shape[0]))
+        return pack(state, num_channels)
+
+    def counting_unpack(planes, cols, out=None):
+        converted.append(("unpack", planes.shape[1]))
+        return unpack(planes, cols, out=out)
+
+    monkeypatch.setattr(bitplane, "pack_state", counting_pack)
+    monkeypatch.setattr(bitplane, "unpack_state", counting_unpack)
+    out, stats = engine.run(state, 7)
+    assert converted == [("pack", 8), ("unpack", 8)]
+    assert stats.site_updates == 7 * 8 * 70
+    monkeypatch.undo()
+    np.testing.assert_array_equal(out, SerialPipelineEngine(model).run(state, 7)[0])
+
+
+def test_reference_engine_builds_no_stepper(monkeypatch):
+    """The reference engine streams through its PE stage; validating the
+    backend name must not allocate a kernel stepper's lattice buffers."""
+    import repro.lgca.backends as backends
+
+    def no_stepper(*args, **kwargs):
+        raise AssertionError("a stepper was built")
+
+    monkeypatch.setitem(backends._STEPPERS, "reference", no_stepper)
+    model = HPPModel(8, 32, boundary="null")
+    for engine in _engines(model, "reference"):
+        engine.run(_state(model), 3)
+
+
 def test_output_detached_from_internal_buffers():
     """Successive runs must not overwrite previously returned frames."""
     model = HPPModel(8, 32, boundary="null")

@@ -1,0 +1,234 @@
+"""Absolute oracle: committed digests of exact lattice-gas trajectories.
+
+Every other equivalence test compares two implementations with each
+other (bitplane with reference, sharded with whole-lattice, recorded
+with silent), so a change that moves all of them together — to a
+collision table, the RNG draw order or the boundary handling — passes
+them all.  Lattice-gas prediction has no shortcut oracle; the exact
+trajectory *is* the specification.  This module pins it: each case
+(model, size, boundary, chirality, obstacles, seed, generations) maps
+in ``digests.json`` to the sha256 of the final state, plus its exact
+mass and per-channel particle counts and its momentum, so a failure
+says whether the physics or only the trajectory moved.
+
+Every path that evolves a lattice is checked against the same digests:
+both kernel backends through ``LatticeGasAutomaton.step`` and ``.run``,
+the serial engine at a pipeline depth smaller than the generation
+count, and ``ShardRunner`` slabs at 1–3 shards.
+
+The digests were recorded once and are not regenerated to make a test
+pass.  Only a deliberate change of semantics may rewrite them, with the
+reason stated in the change:
+
+    PYTHONPATH=src python tests/golden/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+from repro import machines
+from repro.lgca.automaton import LatticeGasAutomaton, ObstacleMap
+from repro.lgca.bits import unpack_channels
+from repro.lgca.observables import total_momentum
+from repro.runtime.modelspec import ModelSpec
+from repro.runtime.sharding import ShardRunner, plan_shards
+
+DIGESTS = Path(__file__).with_name("digests.json")
+
+ROWS, COLS = 12, 70  # even rows (periodic FHP); columns straddle a 64-bit word
+GENERATIONS = 20
+DENSITY = 0.3
+OBSTACLE_DENSITY = 0.08
+
+
+class Case(NamedTuple):
+    kind: str
+    boundary: str
+    chirality: str
+    obstacles: bool
+    seed: int
+
+    @property
+    def key(self) -> str:
+        solid = "obstacles" if self.obstacles else "open"
+        return (
+            f"{self.kind}-{ROWS}x{COLS}-{self.boundary}-{self.chirality}-"
+            f"{solid}-s{self.seed}-g{GENERATIONS}"
+        )
+
+    @property
+    def spec(self) -> ModelSpec:
+        return ModelSpec(self.kind, ROWS, COLS, self.boundary, self.chirality)
+
+    def mask(self) -> np.ndarray | None:
+        if not self.obstacles:
+            return None
+        return np.random.default_rng(self.seed + 1).random((ROWS, COLS)) < OBSTACLE_DENSITY
+
+    def initial_state(self) -> np.ndarray:
+        state = self.spec.initial_state(DENSITY, self.seed)
+        mask = self.mask()
+        if mask is not None:
+            state[mask] = 0
+        return state
+
+    def rng(self) -> np.random.Generator | None:
+        if self.chirality != "random":
+            return None
+        return np.random.default_rng(self.seed + 2)
+
+    def automaton(self, backend: str) -> LatticeGasAutomaton:
+        mask = self.mask()
+        return LatticeGasAutomaton(
+            self.spec.build(),
+            self.initial_state(),
+            obstacles=None if mask is None else ObstacleMap(mask),
+            rng=self.rng(),
+            backend=backend,
+        )
+
+
+BOUNDARIES = ("periodic", "null", "reflecting")
+CASES = (
+    [Case(kind, b, "alternate", True, 11) for kind in ("hpp", "fhp6", "fhp7") for b in BOUNDARIES]
+    + [Case(kind, b, "random", True, 23) for kind in ("fhp6", "fhp7") for b in BOUNDARIES]
+    + [Case(kind, "null", "alternate", False, 37) for kind in ("hpp", "fhp7")]
+)
+BACKENDS = ("reference", "bitplane")
+#: The engines stream null-boundary lattices without obstacles.
+ENGINE_CASES = [c for c in CASES if c.boundary == "null" and not c.obstacles]
+#: ``ShardRunner`` shards periodic and null lattices with deterministic chirality.
+SHARD_CASES = [
+    c for c in CASES if c.boundary in ("periodic", "null") and c.chirality != "random"
+]
+
+
+def digest(state: np.ndarray, case: Case) -> dict:
+    """The record ``digests.json`` stores for a final ``state``."""
+    state = np.ascontiguousarray(state, dtype=np.uint8)
+    model = case.spec.build()
+    counts = [int(c.sum()) for c in unpack_channels(state, model.num_channels)]
+    return {
+        "sha256": hashlib.sha256(state.tobytes()).hexdigest(),
+        "mass": sum(counts),
+        "channel_counts": counts,
+        "momentum": [round(float(p), 9) for p in total_momentum(state, model.velocities)],
+    }
+
+
+def initial_sha256(case: Case) -> str:
+    return hashlib.sha256(case.initial_state().tobytes()).hexdigest()
+
+
+def _expected(case: Case) -> dict:
+    record = json.loads(DIGESTS.read_text())[case.key]
+    # A changed input is a different failure from a changed trajectory.
+    assert initial_sha256(case) == record["initial_sha256"], "initial state changed"
+    return record
+
+
+def _check(state: np.ndarray, case: Case) -> None:
+    expected = _expected(case)
+    got = digest(state, case)
+    assert got["mass"] == expected["mass"]
+    assert got["channel_counts"] == expected["channel_counts"]
+    np.testing.assert_allclose(got["momentum"], expected["momentum"], rtol=0, atol=1e-6)
+    assert got["sha256"] == expected["sha256"]
+
+
+def _ids(cases):
+    return [c.key for c in cases]
+
+
+def test_digest_file_covers_every_case():
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(_ids(CASES))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", CASES, ids=_ids(CASES))
+def test_automaton_step(case, backend):
+    auto = case.automaton(backend)
+    for _ in range(GENERATIONS):
+        auto.step()
+    _check(auto.state, case)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", CASES, ids=_ids(CASES))
+def test_automaton_run(case, backend):
+    auto = case.automaton(backend)
+    auto.run(7)  # two calls: the second continues the time and RNG stream
+    auto.run(GENERATIONS - 7)
+    assert auto.time == GENERATIONS
+    _check(auto.state, case)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", ENGINE_CASES, ids=_ids(ENGINE_CASES))
+def test_engine_run(case, backend):
+    engine = machines.create("serial", case.spec.build(), pipeline_depth=3, backend=backend)
+    final, stats = engine.run(case.initial_state(), GENERATIONS)
+    assert stats.site_updates == GENERATIONS * ROWS * COLS
+    _check(final, case)
+
+
+def _evolve_sharded(case: Case, workers: int, backend: str) -> np.ndarray:
+    """Whole-lattice evolution as ``workers`` slabs with in-process halo routing."""
+    spec, init, mask = case.spec, case.initial_state(), case.mask()
+    runners = []
+    for shard in plan_shards(ROWS, workers):
+        local_mask = None if mask is None else mask[shard.local_row_indices(ROWS)]
+        runners.append(
+            ShardRunner(
+                spec.build(rows=shard.local_rows),
+                shard,
+                init[shard.row_start : shard.row_stop],
+                backend=backend,
+                obstacles_mask=local_mask,
+            )
+        )
+    periodic = case.boundary == "periodic"
+    n = len(runners)
+    for _ in range(GENERATIONS):
+        rows = [r.boundary_rows() for r in runners]
+        for i, runner in enumerate(runners):
+            above = rows[i - 1][1] if (i > 0 or periodic) else None
+            below = rows[(i + 1) % n][0] if (i < n - 1 or periodic) else None
+            runner.set_halos(above, below)
+            runner.step()
+    return np.concatenate([r.interior for r in runners], axis=0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", SHARD_CASES, ids=_ids(SHARD_CASES))
+def test_shard_runner(case, workers, backend):
+    _check(_evolve_sharded(case, workers, backend), case)
+
+
+def _write_digests() -> None:
+    """Record every case from the reference backend's ``run``."""
+    records = {}
+    for case in CASES:
+        auto = case.automaton("reference")
+        auto.run(GENERATIONS)
+        records[case.key] = {
+            **case._asdict(),
+            "rows": ROWS,
+            "cols": COLS,
+            "generations": GENERATIONS,
+            "initial_sha256": initial_sha256(case),
+            **digest(auto.state, case),
+        }
+    DIGESTS.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _write_digests()

@@ -1,4 +1,4 @@
-"""Backend registry tests and the bitplane/reference equivalence properties.
+"""Backend selection, the stepper contract, and bitplane/reference equivalence.
 
 The load-bearing guarantee of the backend system is that every backend
 computes the *same evolution* — the hypothesis properties here drive
@@ -14,14 +14,12 @@ from hypothesis import strategies as st
 
 from repro.lgca.automaton import LatticeGasAutomaton, ObstacleMap
 from repro.lgca.backends import (
-    Backend,
+    BACKENDS,
     BitplaneStepper,
     KernelStepper,
     ReferenceStepper,
-    available_backends,
-    get_backend,
+    evolve,
     make_stepper,
-    register_backend,
 )
 from repro.lgca.fhp import FHPModel
 from repro.lgca.flows import uniform_random_state
@@ -33,24 +31,16 @@ GENERATIONS = 8  # enough for propagation to wrap small lattices
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = [b.name for b in available_backends()]
-        assert names == ["bitplane", "reference"]
+        assert BACKENDS == ("bitplane", "reference")
 
-    def test_get_backend(self):
-        assert get_backend("reference").factory is ReferenceStepper
-        assert get_backend("bitplane").factory is BitplaneStepper
+    def test_make_stepper_builds_the_named_class(self):
+        model = HPPModel(4, 4)
+        assert type(make_stepper(model, backend="reference")) is ReferenceStepper
+        assert type(make_stepper(model, backend="bitplane")) is BitplaneStepper
 
     def test_unknown_backend_lists_choices_sorted(self):
         with pytest.raises(ConfigError, match="bitplane, reference"):
-            get_backend("vectorized")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigError, match="already registered") as exc:
-            register_backend(
-                Backend(name="reference", description="dup", factory=ReferenceStepper)
-            )
-        # the error names the existing choices, sorted
-        assert "bitplane, reference" in str(exc.value)
+            make_stepper(HPPModel(4, 4), backend="vectorized")
 
     def test_make_stepper_satisfies_protocol(self):
         model = HPPModel(4, 4)
@@ -175,53 +165,35 @@ class TestStepperContracts:
         model = HPPModel(6, 6)
         state = _state(0, 6, 6, 4)
         before = state.copy()
-        make_stepper(model).run(state, 5)
+        evolve(make_stepper(model), state, 5)
         np.testing.assert_array_equal(state, before)
 
     def test_bitplane_run_does_not_mutate_input(self):
         model = HPPModel(6, 6)
         state = _state(0, 6, 6, 4)
         before = state.copy()
-        make_stepper(model, backend="bitplane").run(state, 5)
+        evolve(make_stepper(model, backend="bitplane"), state, 5)
         np.testing.assert_array_equal(state, before)
 
     def test_run_equals_repeated_step(self):
-        for backend in ("reference", "bitplane"):
+        for backend in BACKENDS:
             model = FHPModel(6, 20)
             state = _state(3, 6, 20, 6)
-            stepper = make_stepper(model, backend=backend)
-            stepped = state
-            for t in range(5):
-                stepped = stepper.step(stepped, t).copy()
-            ran = make_stepper(model, backend=backend).run(state, 5)
-            np.testing.assert_array_equal(ran, stepped, err_msg=backend)
-
-    def test_reference_step_never_returns_its_input_buffer(self):
-        """The ping-pong pair must never collide output into the input.
-
-        Chained calls feed the previous return (a view of one internal
-        buffer) straight back in; ``_next_buffer`` must then select the
-        *other* buffer, or the stage would read rows it already
-        overwrote.
-        """
-        model = HPPModel(6, 6)
-        stepper = make_stepper(model)
-        out = stepper.step(_state(0, 6, 6, 4), 0)
-        for t in range(1, 6):
-            nxt = stepper.step(out, t)
-            assert nxt is not out
-            assert not np.shares_memory(nxt, out)
-            out = nxt
+            stepped = LatticeGasAutomaton(model, state, backend=backend)
+            for _ in range(5):
+                stepped.step()
+            ran = LatticeGasAutomaton(model, state, backend=backend).run(5)
+            np.testing.assert_array_equal(ran, stepped.state, err_msg=backend)
 
     def test_reference_chained_steps_match_fresh_stepper(self):
+        """``load`` replaces the whole lattice: a reused stepper forgets
+        what it held and evolves like a fresh one."""
         model = FHPModel(6, 20)
         state = _state(7, 6, 20, 6)
-        chained = make_stepper(model)
-        cur = state
-        for t in range(6):
-            cur = chained.step(cur, t)  # no defensive copies
-        expected = make_stepper(model).run(state, 6)
-        np.testing.assert_array_equal(cur, expected)
+        reused = make_stepper(model)
+        evolve(reused, _state(8, 6, 20, 6), 3)
+        expected = evolve(make_stepper(model), state, 6)
+        np.testing.assert_array_equal(evolve(reused, state, 6), expected)
 
     def test_automaton_time_advances_once_per_run(self):
         model = HPPModel(6, 6)
@@ -239,11 +211,8 @@ class TestStepperContracts:
         assert total_mass(auto.state, 6) == mass0
 
 
-BACKENDS = ("reference", "bitplane")
-
-
 class TestResidentState:
-    """``stepper.resident(state)``: the lattice stays in backend storage."""
+    """The stepper holds its lattice: ``load``, ``advance``, row traffic."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
@@ -261,66 +230,100 @@ class TestResidentState:
         mask = np.random.default_rng(11).random((rows, cols)) < 0.1
         state = _state(4, rows, cols, model.num_channels)
         state[mask] = 0
-        expected = make_stepper(model, obstacles=mask).run(state, GENERATIONS)
-        lattice = make_stepper(model, obstacles=mask, backend=backend).resident(state)
+        expected = LatticeGasAutomaton(model, state, obstacles=ObstacleMap(mask)).run(
+            GENERATIONS
+        )
+        stepper = make_stepper(model, obstacles=mask, backend=backend)
+        stepper.load(state)
         for t in range(GENERATIONS):
-            lattice.advance(t)
-        np.testing.assert_array_equal(lattice.read_rows(0, rows), expected)
+            stepper.advance(t)
+        np.testing.assert_array_equal(stepper.read_rows(0, rows), expected)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_random_chirality_consumes_the_rng_like_run(self, backend):
         model = FHPModel(6, 70, chirality="random")
         state = _state(2, 6, 70, 6)
-        expected = make_stepper(model).run(state, 5, rng=np.random.default_rng(9))
-        lattice = make_stepper(model, backend=backend).resident(state)
+        expected = LatticeGasAutomaton(model, state, rng=np.random.default_rng(9)).run(5)
+        stepper = make_stepper(model, backend=backend)
+        stepper.load(state)
         rng = np.random.default_rng(9)
         for t in range(5):
-            lattice.advance(t, rng)
-        np.testing.assert_array_equal(lattice.read_rows(0, 6), expected)
+            stepper.advance(t, rng)
+        np.testing.assert_array_equal(stepper.read_rows(0, 6), expected)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_row_writes_and_reads(self, backend):
         model = FHPModel(8, 100, rest_particles=True)
         state = _state(5, 8, 100, 7)
-        lattice = make_stepper(model, backend=backend).resident(state)
+        stepper = make_stepper(model, backend=backend)
+        stepper.load(state)
         rows = _state(6, 2, 100, 7)
-        lattice.write_rows(3, rows)
-        lattice.clear_rows(6, 8)
+        stepper.write_rows(3, rows)
+        stepper.clear_rows(6, 8)
         expected = state.copy()
         expected[3:5] = rows
         expected[6:8] = 0
-        np.testing.assert_array_equal(lattice.read_rows(0, 8), expected)
-        np.testing.assert_array_equal(lattice.read_rows(3, 5), rows)
+        np.testing.assert_array_equal(stepper.read_rows(0, 8), expected)
+        np.testing.assert_array_equal(stepper.read_rows(3, 5), rows)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_holds_its_own_copy(self, backend):
         model = HPPModel(6, 20)
         state = _state(1, 6, 20, 4)
         before = state.copy()
-        lattice = make_stepper(model, backend=backend).resident(state)
+        stepper = make_stepper(model, backend=backend)
+        stepper.load(state)
         state[...] = 0
-        read = lattice.read_rows(0, 6)
+        read = stepper.read_rows(0, 6)
         np.testing.assert_array_equal(read, before)
         read[...] = 0  # reads are fresh arrays, not views of the storage
-        np.testing.assert_array_equal(lattice.read_rows(0, 6), before)
+        np.testing.assert_array_equal(stepper.read_rows(0, 6), before)
 
     def test_resident_rejects_invalid_states(self):
         model = HPPModel(4, 4)
         bad = np.full((4, 4), 0xFF, dtype=np.uint8)
         for backend in BACKENDS:
+            stepper = make_stepper(model, backend=backend)
             with pytest.raises(ValueError):
-                make_stepper(model, backend=backend).resident(bad)
+                stepper.load(bad)
+            with pytest.raises(ValueError):
+                stepper.load(np.zeros((4, 5), dtype=np.uint8))
 
     def test_bitplane_advance_is_allocation_free(self):
-        import tracemalloc
-
         model = FHPModel(32, 100)
-        lattice = make_stepper(model, backend="bitplane").resident(_state(7, 32, 100, 6))
-        lattice.advance(0)
-        lattice.advance(1)
-        tracemalloc.start()
-        for t in range(6):
-            lattice.advance(t)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        peak = _advance_peak_bytes(make_stepper(model, backend="bitplane"), model)
         assert peak < 16_000, f"advance allocated {peak} bytes"
+
+    def test_reference_advance_allocates_only_numpys_index_cast(self):
+        """Every array the reference ``advance`` writes is preallocated.
+
+        The one allocation left is inside numpy: ``np.take`` converts the
+        ``uint8`` site values it looks up to ``intp`` indices in a
+        temporary (8 bytes per site), freed before the lookup returns.
+        The table lookups run one after another, so the peak is one such
+        temporary; any full-lattice array of our own on top of it (even a
+        ``bool`` mask, 1 byte per site) exceeds the margin.
+        """
+        rows, cols = 64, 200
+        # reflecting edges and obstacles exercise the bounce-back scratch too
+        model = FHPModel(rows, cols, rest_particles=True, boundary="reflecting")
+        mask = np.random.default_rng(3).random((rows, cols)) < 0.1
+        stepper = make_stepper(model, obstacles=mask)
+        peak = _advance_peak_bytes(stepper, model)
+        index_cast = 8 * rows * cols
+        assert peak < index_cast + rows * cols // 2, f"advance allocated {peak} bytes"
+
+
+def _advance_peak_bytes(stepper, model):
+    """Peak traced allocation over six ``advance`` calls after a warm-up."""
+    import tracemalloc
+
+    stepper.load(_state(7, model.rows, model.cols, model.num_channels))
+    stepper.advance(0)
+    stepper.advance(1)
+    tracemalloc.start()
+    for t in range(6):
+        stepper.advance(t)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return peak
