@@ -13,8 +13,9 @@ says whether the physics or only the trajectory moved.
 
 Every path that evolves a lattice is checked against the same digests:
 both kernel backends through ``LatticeGasAutomaton.step`` and ``.run``,
-the serial engine at a pipeline depth smaller than the generation
-count, and ``ShardRunner`` slabs at 1–3 shards.
+every machine engine at a pipeline depth smaller than the generation
+count, ``ShardRunner`` slabs at 1–3 shards, and real supervised runs at
+1–3 worker processes, with and without a worker crash.
 
 The digests were recorded once and are not regenerated to make a test
 pass.  Only a deliberate change of semantics may rewrite them, with the
@@ -37,8 +38,10 @@ from repro import machines
 from repro.lgca.automaton import LatticeGasAutomaton, ObstacleMap
 from repro.lgca.bits import unpack_channels
 from repro.lgca.observables import total_momentum
+from repro.runtime import InducedFault, SupervisorConfig, supervised_run
 from repro.runtime.modelspec import ModelSpec
 from repro.runtime.sharding import ShardRunner, plan_shards
+from repro.util.backoff import BackoffPolicy
 
 DIGESTS = Path(__file__).with_name("digests.json")
 
@@ -179,6 +182,17 @@ def test_engine_run(case, backend):
     _check(final, case)
 
 
+@pytest.mark.parametrize("backend", [None, *BACKENDS])  # None: the PE stream
+@pytest.mark.parametrize("machine", ["wsa", "spa", "wsa-e"])
+@pytest.mark.parametrize("case", ENGINE_CASES, ids=_ids(ENGINE_CASES))
+def test_machine_run(case, machine, backend):
+    params = {} if backend is None else {"backend": backend}
+    engine = machines.create(machine, case.spec.build(), pipeline_depth=3, **params)
+    final, stats = engine.run(case.initial_state(), GENERATIONS)
+    assert stats.site_updates == GENERATIONS * ROWS * COLS
+    _check(final, case)
+
+
 def _evolve_sharded(case: Case, workers: int, backend: str) -> np.ndarray:
     """Whole-lattice evolution as ``workers`` slabs with in-process halo routing."""
     spec, init, mask = case.spec, case.initial_state(), case.mask()
@@ -211,6 +225,32 @@ def _evolve_sharded(case: Case, workers: int, backend: str) -> np.ndarray:
 @pytest.mark.parametrize("case", SHARD_CASES, ids=_ids(SHARD_CASES))
 def test_shard_runner(case, workers, backend):
     _check(_evolve_sharded(case, workers, backend), case)
+
+
+#: Short restart delays: a crashed worker respawns within milliseconds.
+FAST_BACKOFF = BackoffPolicy(max_retries=6, base_delay=0.01, max_delay=0.05)
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["clean", "crash"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", SHARD_CASES, ids=_ids(SHARD_CASES))
+def test_supervised_run(case, workers, crash):
+    induced = (InducedFault(worker=workers - 1, generation=7, kind="crash"),) if crash else ()
+    config = SupervisorConfig(
+        spec=case.spec,
+        generations=GENERATIONS,
+        num_workers=workers,
+        backend="bitplane",
+        initial_state=case.initial_state(),
+        obstacles=case.mask(),
+        checkpoint_interval=4,
+        backoff=FAST_BACKOFF,
+        induced=induced,
+    )
+    state, report = supervised_run(config)
+    assert report.outcome == "complete"
+    assert len(report.restarts) >= crash
+    _check(state, case)
 
 
 def _write_digests() -> None:
