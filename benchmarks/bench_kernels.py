@@ -130,6 +130,8 @@ def _make_model(name: str, rows: int, cols: int):
         return HPPModel(rows, cols)
     if name == "fhp6":
         return FHPModel(rows, cols)
+    if name == "fhp6-random":
+        return FHPModel(rows, cols, chirality="random")
     if name == "fhp7":
         return FHPModel(rows, cols, rest_particles=True)
     if name == "fhp-sat":
@@ -241,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sizes", default="256,512,1024",
                         help="comma-separated square grid sizes")
     parser.add_argument("--models", default="hpp,fhp6",
-                        help="comma-separated: hpp, fhp6, fhp7, fhp-sat")
+                        help="comma-separated: hpp, fhp6, fhp6-random, fhp7, fhp-sat")
     parser.add_argument("--backends", default="reference,bitplane",
                         help="comma-separated backend names")
     parser.add_argument("--generations", type=int, default=16,

@@ -33,7 +33,7 @@ def main() -> None:
     model = FHPModel(ROWS, COLS, boundary="periodic")
     state = channel_flow_state(ROWS, COLS, model.velocities, 0.25, 0.25, rng)
     body = cylinder_obstacle(ROWS, COLS, center=(ROWS / 2, COLS / 4), radius=RADIUS)
-    gas = LatticeGasAutomaton(model, state, obstacles=body, rng=rng)
+    gas = LatticeGasAutomaton(model, state, obstacles=body)
 
     re = reynolds_number(2 * RADIUS, 0.25, 0.25 / 1.0)
     print(f"FHP cylinder flow: {ROWS}x{COLS}, r={RADIUS}, Re ≈ {re:.1f}")

@@ -1,8 +1,8 @@
 """The reference synchronous LGCA driver.
 
 :class:`LatticeGasAutomaton` couples a model (HPP or FHP kernels), a
-mutable state field, an optional obstacle map, and an RNG, and advances
-the gas generation by generation.  **This is the golden reference** —
+mutable state field and an optional obstacle map, and advances the gas
+generation by generation.  **This is the golden reference** —
 every engine simulator in :mod:`repro.engines` is required (by the
 integration tests) to produce bit-identical evolutions to this class for
 deterministic configurations.
@@ -45,9 +45,7 @@ class SiteModel(Protocol):
 
     def check_state(self, state: np.ndarray) -> np.ndarray: ...
 
-    def collide(
-        self, state: np.ndarray, t: int = 0, rng: np.random.Generator | None = None
-    ) -> np.ndarray: ...
+    def collide(self, state: np.ndarray, t: int = 0) -> np.ndarray: ...
 
     def propagate(self, state: np.ndarray) -> np.ndarray: ...
 
@@ -91,7 +89,7 @@ class ObstacleMap:
 
 @dataclass
 class LatticeGasAutomaton:
-    """Reference LGCA evolution: state + model + obstacles + RNG.
+    """Reference LGCA evolution: state + model + obstacles.
 
     Parameters
     ----------
@@ -101,8 +99,6 @@ class LatticeGasAutomaton:
         Initial site-state field, shape ``(model.rows, model.cols)``.
     obstacles:
         Optional solid-site mask of the same shape.
-    rng:
-        Only consulted when the model's chirality policy is ``"random"``.
     backend:
         Kernel backend name from :mod:`repro.lgca.backends`
         (``"reference"`` or ``"bitplane"``).  Both produce
@@ -119,7 +115,6 @@ class LatticeGasAutomaton:
     model: SiteModel
     state: np.ndarray
     obstacles: ObstacleMap | None = None
-    rng: np.random.Generator | None = None
     time: int = 0
     backend: str = "reference"
     recorder: object = None
@@ -179,7 +174,7 @@ class LatticeGasAutomaton:
         generations = check_nonnegative(generations, "generations", integer=True)
         if generations == 0:
             return self.state
-        self.state = evolve(self._stepper, self.state, generations, self.time, self.rng)
+        self.state = evolve(self._stepper, self.state, generations, self.time)
         self.time += generations
         return self.state
 

@@ -76,7 +76,7 @@ class KernelStepper(Protocol):
         """Validate ``state`` and convert a copy of the whole lattice in."""
         ...
 
-    def advance(self, t: int, rng: np.random.Generator | None = None) -> None:
+    def advance(self, t: int) -> None:
         """One generation (collide at time ``t``, propagate), in place."""
         ...
 
@@ -138,11 +138,11 @@ class ReferenceStepper:
         np.copyto(self._src, self.model.check_state(state))  # type: ignore[attr-defined]
 
     @hot_path
-    def advance(self, t: int, rng: np.random.Generator | None = None) -> None:
+    def advance(self, t: int) -> None:
         clk = self._clk
         t_start = clk()
         src, collided = self._src, self._collided
-        self.model.collide(src, t, rng, out=collided, check=False)  # type: ignore[attr-defined]
+        self.model.collide(src, t, out=collided, check=False)  # type: ignore[attr-defined]
         if self._solid is not None:
             np.take(self._bounce, src, out=self._bounced, mode="clip")  # clip: no out buffer
             np.copyto(collided, self._bounced, where=self._solid)
@@ -196,9 +196,9 @@ class BitplaneStepper:
         self._src[...] = self.kernel.pack(state)
 
     @hot_path
-    def advance(self, t: int, rng: np.random.Generator | None = None) -> None:
+    def advance(self, t: int) -> None:
         t_start = self._clk()
-        self.kernel.step_into(self._src, self._dst, t, rng)
+        self.kernel.step_into(self._src, self._dst, t)
         self._src, self._dst = self._dst, self._src
         self._tick_timer.record(self._clk() - t_start)
         self._generations.add(1)
@@ -245,11 +245,7 @@ def make_stepper(
 
 
 def evolve(
-    stepper: KernelStepper,
-    state: np.ndarray,
-    generations: int,
-    t0: int = 0,
-    rng: np.random.Generator | None = None,
+    stepper: KernelStepper, state: np.ndarray, generations: int, t0: int = 0
 ) -> np.ndarray:
     """Load ``state``, advance ``generations`` from time ``t0``, read it back.
 
@@ -257,5 +253,5 @@ def evolve(
     """
     stepper.load(state)
     for t in range(t0, t0 + generations):
-        stepper.advance(t, rng)
+        stepper.advance(t)
     return stepper.read_rows(0, stepper.model.rows)  # type: ignore[attr-defined]

@@ -800,8 +800,7 @@ class BitplaneKernel:
         self._stage = np.empty(shape, dtype=np.uint64)
         self._mid = np.empty((self.num_channels, rows, w), dtype=np.uint64)
         if self._chirality == "random":
-            self._rand_m = np.empty(shape, dtype=np.uint64)
-            self._rand_not_m = np.empty(shape, dtype=np.uint64)
+            self._rand_right = np.empty(shape, dtype=np.uint64)
 
     # -- plane <-> field conversion -------------------------------------------
 
@@ -821,27 +820,22 @@ class BitplaneKernel:
 
     # -- collision -------------------------------------------------------------
 
-    def _chirality_planes(
-        self, t: int, rng: np.random.Generator | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _chirality_planes(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Packed (left-mask, right-mask) planes for generation ``t``."""
         if self._chirality == "alternate":
             return self._alt_masks[t % 2]
         assert self._chirality == "random"
-        field = self.model.chirality_field(t, rng)  # type: ignore[union-attr]
-        # Random chirality needs a fresh packed mask each generation;
-        # this is inherent to the model, not a fixable leak.
-        self._rand_m[...] = pack_plane(field)  # repro: alloc-ok
-        self._rand_not_m[...] = pack_plane(~field)  # repro: alloc-ok
-        return self._rand_m, self._rand_not_m
+        # The model's draw is already in plane layout: it is the left
+        # mask.  random_raw has no out=, so it is a fresh 1 bit per site.
+        left = self.model.chirality_words(t)  # type: ignore[union-attr]  # repro: alloc-ok
+        right = self._rand_right
+        np.invert(left, out=right)
+        right[:, -1] &= _tail_mask(self.cols)
+        return left, right
 
     @hot_path
     def collide_into(
-        self,
-        planes_in: np.ndarray,
-        planes_out: np.ndarray,
-        t: int = 0,
-        rng: np.random.Generator | None = None,
+        self, planes_in: np.ndarray, planes_out: np.ndarray, t: int = 0
     ) -> None:
         """Boolean-algebra collision: ``out = in XOR flips(in)``.
 
@@ -851,7 +845,7 @@ class BitplaneKernel:
         """
         left = right = None
         if self._chirality is not None:
-            left, right = self._chirality_planes(t, rng)
+            left, right = self._chirality_planes(t)
         self.network.run(
             planes_in, planes_out, (left, right, self._solid, self._not_solid), self._temps
         )
@@ -930,16 +924,12 @@ class BitplaneKernel:
 
     @hot_path
     def step_into(
-        self,
-        planes_in: np.ndarray,
-        planes_out: np.ndarray,
-        t: int = 0,
-        rng: np.random.Generator | None = None,
+        self, planes_in: np.ndarray, planes_out: np.ndarray, t: int = 0
     ) -> None:
         """One generation (collide then propagate), allocation-free.
 
         ``planes_out`` must not alias ``planes_in``; the collided
         intermediate lives in a preallocated internal buffer.
         """
-        self.collide_into(planes_in, self._mid, t, rng)
+        self.collide_into(planes_in, self._mid, t)
         self.propagate_into(self._mid, planes_out)

@@ -38,15 +38,10 @@ __all__ = [
 ]
 
 
-def collision_rate(
-    model: SiteModel,
-    state: np.ndarray,
-    t: int = 0,
-    rng: np.random.Generator | None = None,
-) -> float:
+def collision_rate(model: SiteModel, state: np.ndarray, t: int = 0) -> float:
     """Fraction of sites whose state changes under one collision step."""
     state = model.check_state(state)
-    collided = model.collide(state, t, rng)
+    collided = model.collide(state, t)
     return float(np.count_nonzero(collided != state) / state.size)
 
 
@@ -152,7 +147,7 @@ def measure_sound_speed(
     series = np.empty(steps + 1, dtype=np.float64)
     series[0] = mode(state)
     for t in range(steps):
-        state = model.step(state, t, rng)
+        state = model.step(state, t)
         series[t + 1] = mode(state)
 
     # dominant oscillation frequency (exclude the DC bin)
@@ -228,7 +223,7 @@ def measure_shear_viscosity(
     amplitudes = np.empty(steps + 1, dtype=np.float64)
     amplitudes[0] = _shear_amplitude(state, velocities, k)
     for t in range(steps):
-        state = model.step(state, t, rng)
+        state = model.step(state, t)
         amplitudes[t + 1] = _shear_amplitude(state, velocities, k)
 
     ts = np.arange(discard, steps + 1, dtype=np.float64)

@@ -10,7 +10,7 @@ Collision rules implemented:
 
 * **FHP-6 (FHP-I)** — head-on two-body collisions ``{i, i+3}`` scatter to
   the pair rotated ±60° (the chirality must be chosen per collision; the
-  driver alternates it deterministically or draws it pseudo-randomly),
+  model alternates it deterministically or draws it pseudo-randomly),
   and symmetric three-body collisions ``{i, i+2, i+4} <-> {i+1, i+3, i+5}``.
 * **FHP-7 (FHP-II)** — FHP-6 rules with the rest particle as a spectator,
   plus the rest-particle pair creation/annihilation
@@ -36,7 +36,7 @@ import numpy as np
 from repro.lattice.geometry import FHP_DIRECTIONS
 from repro.lgca.bits import pack_channels, unpack_channels
 from repro.lgca.collision import CollisionTable
-from repro.util.validation import check_positive
+from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = [
     "FHP_VELOCITIES",
@@ -191,8 +191,12 @@ class FHPModel:
         ``"alternate"`` — deterministic checkerboard-in-time chirality
         (what a deterministic VLSI engine does, and what the equivalence
         tests against the engine simulators rely on); ``"random"`` —
-        per-site i.i.d. chirality from the driver's RNG; ``"left"`` /
-        ``"right"`` — fixed.
+        per-site i.i.d. chirality, a pure function of ``(seed, t, row,
+        col)`` (see :meth:`chirality_words`); ``"left"`` / ``"right"`` —
+        fixed.
+    seed:
+        Key of the ``"random"`` chirality draw; unused by the other
+        policies.
     """
 
     rows: int
@@ -201,10 +205,12 @@ class FHPModel:
     boundary: str = "periodic"
     chirality: str = "alternate"
     saturated: bool = False
+    seed: int = 0
 
     def __post_init__(self) -> None:
         self.rows = check_positive(self.rows, "rows", integer=True)
         self.cols = check_positive(self.cols, "cols", integer=True)
+        self.seed = check_nonnegative(self.seed, "seed", integer=True)
         if self.boundary not in ("periodic", "null", "reflecting"):
             raise ValueError(
                 f"boundary={self.boundary!r} must be periodic, null, or reflecting"
@@ -262,18 +268,37 @@ class FHPModel:
 
     # -- chirality ----------------------------------------------------------
 
-    def chirality_field(
-        self, t: int, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
+    def chirality_words(self, t: int) -> np.ndarray:
+        """The ``"random"`` chirality of generation ``t`` as packed words.
+
+        A ``(rows, W)`` uint64 array in the bit-plane layout of
+        :mod:`repro.lgca.bitplane` (bit ``j`` of word ``w`` is column
+        ``64*w + j``); a set bit selects the *left* table, and the tail
+        bits past ``cols`` are clear.  The words are the Philox stream
+        keyed by ``seed`` with counter ``[0, t, 0, 0]``, so every bit is
+        a pure function of ``(seed, t, row, col)``: no state carries
+        from one generation, call or process to the next, and word ``i``
+        can be drawn alone from counter ``[i // 4, t, 0, 0]`` (four
+        words per Philox block).
+        """
+        from repro.lgca.bitplane import _tail_mask, num_words
+
+        words = num_words(self.cols)
+        draw = np.random.Philox(key=self.seed, counter=[0, t, 0, 0])
+        out = draw.random_raw(self.rows * words).reshape(self.rows, words)
+        out[:, -1] &= _tail_mask(self.cols)
+        return out
+
+    def chirality_field(self, t: int) -> np.ndarray:
         """Boolean field: True where the *left* table applies at time ``t``."""
         if self.chirality == "left":
             return np.ones((self.rows, self.cols), dtype=bool)
         if self.chirality == "right":
             return np.zeros((self.rows, self.cols), dtype=bool)
         if self.chirality == "random":
-            if rng is None:
-                raise ValueError("chirality='random' requires an rng")
-            return rng.integers(0, 2, size=(self.rows, self.cols)).astype(bool)
+            from repro.lgca.bitplane import unpack_plane
+
+            return unpack_plane(self.chirality_words(t), self.cols).astype(bool)
         # "alternate": site-checkerboard XOR time parity.  Deterministic,
         # zero storage in hardware (one XOR of coordinate/time parities),
         # and unbiased over any two consecutive steps.
@@ -283,14 +308,12 @@ class FHPModel:
 
     # -- dynamics -----------------------------------------------------------
 
-    def _chirality_mask(
-        self, t: int, rng: np.random.Generator | None
-    ) -> np.ndarray:
+    def _chirality_mask(self, t: int) -> np.ndarray:
         """Like :meth:`chirality_field`, but cached for the deterministic
         policies so steady-state stepping does not allocate.  Callers must
         not mutate the result."""
         if self.chirality == "random":
-            return self.chirality_field(t, rng)
+            return self.chirality_field(t)
         cache = getattr(self, "_chirality_cache", None)
         if cache is None:
             cache = {}
@@ -298,7 +321,7 @@ class FHPModel:
         key = t % 2 if self.chirality == "alternate" else 0
         mask = cache.get(key)
         if mask is None:
-            mask = self.chirality_field(t, rng)
+            mask = self.chirality_field(t)
             mask.setflags(write=False)
             cache[key] = mask
         return mask
@@ -307,7 +330,6 @@ class FHPModel:
         self,
         state: np.ndarray,
         t: int = 0,
-        rng: np.random.Generator | None = None,
         *,
         out: np.ndarray | None = None,
         check: bool = True,
@@ -320,7 +342,7 @@ class FHPModel:
         """
         if check:
             state = self.check_state(state)
-        left_mask = self._chirality_mask(t, rng)
+        left_mask = self._chirality_mask(t)
         out_left = self._left(state, out=self._scratch("collide_left", state.dtype))
         out_right = self._right(state, out=self._scratch("collide_right", state.dtype))
         if out is None:
@@ -366,16 +388,11 @@ class FHPModel:
             out = np.zeros_like(state)
         return pack_channels(planes, out=out, check=False)
 
-    def step(
-        self,
-        state: np.ndarray,
-        t: int = 0,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
+    def step(self, state: np.ndarray, t: int = 0) -> np.ndarray:
         """One generation: collide (at time ``t``), then propagate
         (validates input once, not per sub-kernel)."""
         state = self.check_state(state)
-        return self.propagate(self.collide(state, t, rng, check=False), check=False)
+        return self.propagate(self.collide(state, t, check=False), check=False)
 
     def _scratch(self, key: str, dtype: np.dtype | type) -> np.ndarray:
         """Lazily allocated per-model scratch buffers (keyed by use)."""

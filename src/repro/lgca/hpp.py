@@ -126,14 +126,13 @@ class HPPModel:
         self,
         state: np.ndarray,
         t: int = 0,
-        rng: np.random.Generator | None = None,
         *,
         out: np.ndarray | None = None,
         check: bool = True,
     ) -> np.ndarray:
         """Apply the collision table at every site.
 
-        ``t`` and ``rng`` are accepted for interface parity with
+        ``t`` is accepted for interface parity with
         :class:`repro.lgca.fhp.FHPModel`; HPP is deterministic.
         ``out`` (which must not alias ``state``) receives the result
         without allocating; ``check=False`` skips input validation when
@@ -170,15 +169,10 @@ class HPPModel:
             out = np.zeros_like(state)
         return pack_channels(ch_out, out=out, check=False)
 
-    def step(
-        self,
-        state: np.ndarray,
-        t: int = 0,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
+    def step(self, state: np.ndarray, t: int = 0) -> np.ndarray:
         """One generation: collide, then propagate (validates input once)."""
         state = self.check_state(state)
-        return self.propagate(self.collide(state, t, rng, check=False), check=False)
+        return self.propagate(self.collide(state, t, check=False), check=False)
 
     def _scratch(self, key: str) -> np.ndarray:
         """Lazily allocated per-model channel-plane scratch buffers."""

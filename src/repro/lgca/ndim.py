@@ -176,12 +176,7 @@ class NDHPPModel:
 
     # -- dynamics ----------------------------------------------------------------
 
-    def collide(
-        self,
-        state: np.ndarray,
-        t: int = 0,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
+    def collide(self, state: np.ndarray, t: int = 0) -> np.ndarray:
         state = self.check_state(state)
         return self._table(state).astype(state.dtype)
 
@@ -202,13 +197,8 @@ class NDHPPModel:
                 out[opposite][wall] |= channels[ch][wall]
         return pack_channels(out)
 
-    def step(
-        self,
-        state: np.ndarray,
-        t: int = 0,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        return self.propagate(self.collide(state, t, rng))
+    def step(self, state: np.ndarray, t: int = 0) -> np.ndarray:
+        return self.propagate(self.collide(state, t))
 
     # -- helpers --------------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Checkpoint/restart for lattice evolutions.
 
 A checkpoint is everything needed to replay deterministically from a
-generation boundary: the state field, the RNG bit-generator state (for
-``chirality="random"`` models), and the generation index.  Checkpoints
+generation boundary: the state field and the generation index (every
+chirality policy, ``"random"`` included, is a pure function of the
+model and the generation, so there is no RNG state to keep).  Checkpoints
 carry their own parity tags so a *corrupted checkpoint* is detected at
 restore time instead of silently seeding a wrong replay.
 
@@ -18,7 +19,6 @@ file degrades to an older recovery point, never to a wrong replay.
 
 from __future__ import annotations
 
-import json
 import os
 import zipfile
 from dataclasses import dataclass, field
@@ -39,11 +39,10 @@ _TMP_PREFIX = ".tmp-"
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """One recovery point: state field + RNG state + generation index."""
+    """One recovery point: state field + generation index."""
 
     generation: int
     state: np.ndarray = field(repr=False)
-    rng_state: dict | None = field(default=None, repr=False)
     tags: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     def verify(self) -> None:
@@ -67,7 +66,6 @@ def _write_durable(directory: Path, cp: Checkpoint) -> Path:
     """Write ``cp`` crash-safely: temp file + fsync + atomic rename."""
     final = _checkpoint_path(directory, cp.generation)
     tmp = directory / f"{_TMP_PREFIX}{final.name}.{os.getpid()}"
-    rng_json = "" if cp.rng_state is None else json.dumps(cp.rng_state)
     try:
         with open(tmp, "wb") as fh:
             np.savez(
@@ -75,7 +73,6 @@ def _write_durable(directory: Path, cp: Checkpoint) -> Path:
                 generation=np.asarray(cp.generation, dtype=np.int64),
                 state=cp.state,
                 tags=cp.tags,
-                rng_json=np.asarray(rng_json),
             )
             fh.flush()
             os.fsync(fh.fileno())
@@ -99,20 +96,12 @@ def _read_durable(path: Path) -> Checkpoint:
     """Load one durable checkpoint; raises :class:`CheckpointError` if torn."""
     try:
         with np.load(path, allow_pickle=False) as data:
-            rng_json = str(data["rng_json"])
             cp = Checkpoint(
                 generation=int(data["generation"]),
                 state=np.array(data["state"]),
-                rng_state=json.loads(rng_json) if rng_json else None,
                 tags=np.array(data["tags"]),
             )
-    except (
-        OSError,
-        ValueError,
-        KeyError,
-        json.JSONDecodeError,
-        zipfile.BadZipFile,
-    ) as exc:
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     cp.verify()
     return cp
@@ -158,13 +147,8 @@ class CheckpointStore:
         check_nonnegative(generation, "generation", integer=True)
         return generation % self.interval == 0
 
-    def save(
-        self,
-        generation: int,
-        state: np.ndarray,
-        rng: np.random.Generator | None = None,
-    ) -> Checkpoint:
-        """Snapshot ``state`` (copied) and the RNG at ``generation``.
+    def save(self, generation: int, state: np.ndarray) -> Checkpoint:
+        """Snapshot ``state`` (copied) at ``generation``.
 
         With a ``directory`` configured the snapshot is also written
         durably (temp + fsync + atomic rename) before this returns, so
@@ -173,7 +157,6 @@ class CheckpointStore:
         cp = Checkpoint(
             generation=check_nonnegative(generation, "generation", integer=True),
             state=np.asarray(state).copy(),
-            rng_state=None if rng is None else dict(rng.bit_generator.state),
             tags=row_parity_tags(state),
         )
         if self.directory is not None:
@@ -252,8 +235,3 @@ class CheckpointStore:
             except CheckpointError:
                 continue
         raise CheckpointError(f"no restorable checkpoint under {directory}")
-
-    def restore_rng(self, cp: Checkpoint, rng: np.random.Generator | None) -> None:
-        """Rewind ``rng`` to the checkpointed bit-generator state."""
-        if rng is not None and cp.rng_state is not None:
-            rng.bit_generator.state = cp.rng_state

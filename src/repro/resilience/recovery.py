@@ -143,8 +143,6 @@ class ResilientAutomatonRunner:
         # state before the most recent step, for row recomputation
         self._prev_state: np.ndarray | None = None
         self._prev_gen: int = -1
-        self._prev_rng_before: dict | None = None
-        self._prev_rng_after: dict | None = None
 
     # -- fault surfaces ----------------------------------------------------------
 
@@ -157,14 +155,6 @@ class ResilientAutomatonRunner:
             self.memory.store_frame(self.auto.state.ravel())
             return self.memory.load_frame().reshape(self.auto.shape)
         return self.injector.corrupt_frame(self.auto.state, generation)
-
-    def _rng_state(self) -> dict | None:
-        rng = self.auto.rng
-        return None if rng is None else dict(rng.bit_generator.state)
-
-    def _set_rng_state(self, state: dict | None) -> None:
-        if self.auto.rng is not None and state is not None:
-            self.auto.rng.bit_generator.state = state
 
     # -- recovery actions --------------------------------------------------------
 
@@ -180,18 +170,15 @@ class ResilientAutomatonRunner:
         """
         if self._prev_state is None or self._prev_gen != generation - 1:
             return False
-        self._set_rng_state(self._prev_rng_before)
         replay_auto = LatticeGasAutomaton(
             self.auto.model,
             self._prev_state,
             obstacles=self.auto.obstacles,
-            rng=self.auto.rng,
             time=generation - 1,
         )
         replay_auto.step()
         state = self.auto.state
         state[list(rows)] = replay_auto.state[list(rows)]
-        self._set_rng_state(self._prev_rng_after)
         self.report.row_recomputes += 1
         self.report.corrections += 1
         return True
@@ -214,7 +201,6 @@ class ResilientAutomatonRunner:
                 ) from exc
             self.auto.state = cp.state.copy()
             self.auto.time = cp.generation
-            self.store.restore_rng(cp, self.auto.rng)
             if self.parity is not None:
                 self.parity.tag(self.auto.state)
             self._prev_state = None  # stale across a rollback
@@ -261,9 +247,7 @@ class ResilientAutomatonRunner:
         self.auto.state = frame
         self._prev_state = self.auto.state.copy()
         self._prev_gen = t
-        self._prev_rng_before = self._rng_state()
         self.auto.step()
-        self._prev_rng_after = self._rng_state()
         if self.conservation is not None:
             drift = self.conservation.check(self.auto.state, self.auto.time)
             if drift:
@@ -273,7 +257,7 @@ class ResilientAutomatonRunner:
             if self.parity is not None:
                 self.parity.tag(self.auto.state)
             if self.store.due(self.auto.time):
-                self.store.save(self.auto.time, self.auto.state, self.auto.rng)
+                self.store.save(self.auto.time, self.auto.state)
                 self.report.checkpoint_saves += 1
         return detections
 
@@ -291,7 +275,7 @@ class ResilientAutomatonRunner:
             self.conservation.arm(self.auto.state)
         if self.parity is not None:
             self.parity.tag(self.auto.state)
-        self.store.save(self.auto.time, self.auto.state, self.auto.rng)
+        self.store.save(self.auto.time, self.auto.state)
         self.report.checkpoint_saves += 1
         target = self.auto.time + generations
         try:

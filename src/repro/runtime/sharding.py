@@ -17,11 +17,11 @@ local frame) and why refreshing two boundary rows per side per
 generation makes the slab interiors evolve bit-identically to the
 whole-lattice run.
 
-Bit-identity at *this* layer holds for deterministic chirality policies
-only (``alternate``/``left``/``right``); per-site ``random`` chirality
-draws a whole-lattice field from one RNG stream, which independent
-worker processes cannot reproduce, and is rejected by the supervisor's
-config validation.
+Bit-identity at *this* layer holds for the ``alternate``, ``left`` and
+``right`` chirality policies.  Per-site ``random`` chirality is a pure
+function of (seed, generation, global row, column), but a shard's
+local model does not know its global rows, so the supervisor's config
+validation rejects it.
 """
 
 from __future__ import annotations

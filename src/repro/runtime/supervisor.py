@@ -110,8 +110,9 @@ class SupervisorConfig:
     ----------
     spec:
         The lattice model, by value.  The boundary must be ``periodic``
-        or ``null`` (``reflecting`` edges and per-site ``random``
-        chirality cannot be sharded bit-identically and are rejected).
+        or ``null``.  ``reflecting`` edges cannot be sharded
+        bit-identically, and per-site ``random`` chirality is rejected
+        because a shard's local model does not know its global rows.
     generations:
         Generations to evolve.
     num_workers:
@@ -200,9 +201,9 @@ class SupervisorConfig:
             )
         if self.spec.kind != "hpp" and self.spec.chirality == "random":
             raise ConfigError(
-                "chirality='random' draws a whole-lattice RNG field and "
-                "cannot be sharded bit-identically; use a deterministic "
-                "chirality policy"
+                "chirality='random' cannot be sharded: a shard's local "
+                "model does not know its global rows; use the alternate, "
+                "left or right chirality policy"
             )
         plan_shards(self.spec.rows, self.num_workers)  # fail fast on geometry
 

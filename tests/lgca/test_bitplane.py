@@ -270,16 +270,27 @@ class TestRowBlocks:
         assert np.array_equal(kernel.unpack(out), expected)
 
     def test_random_chirality(self, rows):
-        model = self._model(rows, self.COLS, chirality="random")
+        model = self._model(rows, self.COLS, chirality="random", seed=rows + 2)
         kernel = BitplaneKernel(model)
         state = uniform_random_state(rows, self.COLS, 7, 0.4, np.random.default_rng(rows))
         planes, out = kernel.pack(state), kernel.alloc_planes()
-        kernel_rng = np.random.default_rng(rows + 2)
-        model_rng = np.random.default_rng(rows + 2)
         for t in (0, 1):
-            kernel.collide_into(planes, out, t, kernel_rng)
-            expected = model.collide(state, t, model_rng)
-            assert np.array_equal(kernel.unpack(out), expected)
+            kernel.collide_into(planes, out, t)
+            assert np.array_equal(kernel.unpack(out), model.collide(state, t))
+
+
+class TestRandomChiralityMasks:
+    @pytest.mark.parametrize("cols", [30, 64, 70, 130])
+    def test_masks_are_disjoint_and_cover_the_valid_columns(self, cols):
+        kernel = BitplaneKernel(FHPModel(6, cols, chirality="random", seed=4))
+        valid = pack_plane(np.ones((6, cols), dtype=bool))
+        for t in range(3):
+            left, right = kernel._chirality_planes(t)
+            assert not np.any(left & right)
+            assert np.array_equal(left | right, valid)  # tail bits clear in both
+            assert np.array_equal(
+                unpack_plane(left, cols).astype(bool), kernel.model.chirality_field(t)
+            )
 
 
 class TestKernel:

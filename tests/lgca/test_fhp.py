@@ -108,16 +108,14 @@ class TestFHPModel:
         m = FHPModel(4, 4, chirality="right")
         assert not m.chirality_field(3).any()
 
-    def test_chirality_random_needs_rng(self):
-        m = FHPModel(4, 4, chirality="random")
-        with pytest.raises(ValueError, match="rng"):
-            m.chirality_field(0)
-
     def test_chirality_random_uses_rng(self):
-        m = FHPModel(64, 64, chirality="random")
-        f = m.chirality_field(0, np.random.default_rng(0))
-        frac = f.mean()
-        assert 0.4 < frac < 0.6
+        """The field is the model-keyed Philox stream at counter [0, t, 0, 0]."""
+        m = FHPModel(64, 64, chirality="random", seed=3)
+        f = m.chirality_field(5)
+        words = np.random.Philox(key=3, counter=[0, 5, 0, 0]).random_raw(64)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little").reshape(64, 64)
+        assert np.array_equal(f, bits.astype(bool))
+        assert 0.4 < f.mean() < 0.6
 
     def test_propagation_even_row_directions(self):
         m = FHPModel(8, 8)
@@ -194,7 +192,7 @@ class TestFHPModel:
         mass0 = total_mass(s, 6)
         mom0 = total_momentum(s, m.velocities)
         for t in range(6):
-            s = m.step(s, t, rng)
+            s = m.step(s, t)
         assert total_mass(s, 6) == mass0
         assert np.allclose(total_momentum(s, m.velocities), mom0, atol=1e-9)
 
@@ -223,3 +221,41 @@ class TestFHPModel:
         s[2, 5] = 1 << 0  # +x at right wall
         out = m.propagate(s)
         assert out[2, 5] == 1 << 3  # reversed in place
+
+
+class TestRandomChirality:
+    """Random chirality is a pure function of (seed, t, row, col)."""
+
+    def test_same_seed_same_field_in_any_call_order(self):
+        a = FHPModel(10, 70, chirality="random", seed=5)
+        b = FHPModel(10, 70, chirality="random", seed=5)
+        forward = [a.chirality_field(t) for t in range(6)]
+        backward = [b.chirality_field(t) for t in reversed(range(6))][::-1]
+        for t in range(6):
+            assert np.array_equal(forward[t], backward[t])
+            assert np.array_equal(forward[t], a.chirality_field(t))
+
+    def test_seed_and_time_change_the_field(self):
+        m = FHPModel(10, 70, chirality="random", seed=5)
+        other = FHPModel(10, 70, chirality="random", seed=6)
+        assert not np.array_equal(m.chirality_field(3), other.chirality_field(3))
+        assert not np.array_equal(m.chirality_field(3), m.chirality_field(4))
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 3])
+    def test_left_fraction_is_half_in_each_parity_class(self, t):
+        field = FHPModel(256, 256, chirality="random").chirality_field(t)
+        assert abs(field.mean() - 0.5) <= 0.01
+        r = np.arange(256)[:, None]
+        c = np.arange(256)[None, :]
+        even = (r + c + t) % 2 == 0
+        assert abs(field[even].mean() - 0.5) <= 0.01
+        assert abs(field[~even].mean() - 0.5) <= 0.01
+
+    def test_words_clear_the_tail(self):
+        words = FHPModel(6, 70, chirality="random", seed=2).chirality_words(1)
+        assert words.shape == (6, 2)
+        assert not np.any(words[:, -1] >> np.uint64(6))
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            FHPModel(4, 4, chirality="random", seed=-1)

@@ -77,6 +77,22 @@ class TestResilientAutomatonRunner:
         assert runner.report.backoff_delays  # retries waited
         assert not runner.report.aborted
 
+    @pytest.mark.parametrize("use_parity", [True, False], ids=["recompute", "rollback"])
+    def test_random_chirality_recovers_bit_identically(self, use_parity):
+        """Replays rewind nothing: the chirality draw is a pure function of t."""
+        random_model = FHPModel(ROWS, COLS, boundary="periodic", chirality="random", seed=5)
+        expected = LatticeGasAutomaton(random_model, init_state()).run(GENS)
+        specs = [FaultSpec("f", "bit_flip", "memory", 3, row=4, col=4, channel=2)]
+        runner = ResilientAutomatonRunner(
+            LatticeGasAutomaton(random_model, init_state()),
+            FaultInjector(specs),
+            checkpoint_interval=2,
+            use_parity=use_parity,
+        )
+        assert np.array_equal(runner.run(GENS), expected)
+        assert runner.report.corrections >= 1
+        assert not runner.report.aborted
+
     def test_persistent_fault_without_parity_aborts(self):
         """Conservation alone cannot localize; replay re-detects the
         stuck cell every attempt, so the bounded retries exhaust."""
