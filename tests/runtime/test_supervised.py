@@ -136,6 +136,25 @@ class TestCheckpointRestart:
         assert len(report.restarts) == 2
         assert np.array_equal(state, golden)
 
+    @pytest.mark.parametrize("backend", ["reference", "bitplane"])
+    def test_crash_after_the_last_step_restarts(self, spec, golden, backend):
+        """A worker that dies between its last step and its final slab
+        is restarted like any other death: the new incarnation restores
+        the checkpoint at generation 10, replays the last two halo
+        exchanges and sends its slab with ``done``."""
+        state, report = supervised_run(
+            config(
+                spec,
+                backend=backend,
+                checkpoint_interval=5,
+                induced=(InducedFault(worker=1, generation=GENS, kind="crash"),),
+            )
+        )
+        assert report.outcome == "complete"
+        assert len(report.restarts) == 1
+        assert report.restarts[0].worker == 1
+        assert np.array_equal(state, golden)
+
     def test_stalled_worker_is_watchdogged_and_restarted(self, spec, golden):
         """The watchdog trips on *virtual* time: a StepClock advances a
         fixed step per supervisor clock read, so the 60-second stall is
@@ -260,6 +279,27 @@ class TestDegradation:
         assert report.exit_code == 1
         assert state is None
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_losing_every_shard_fails_the_run(self, spec, workers):
+        """With every worker unrecoverable there is no live shard left
+        to degrade to: the run fails, whichever way the workers died."""
+        induced = tuple(
+            InducedFault(worker=w, generation=6, kind="crash", incarnations=99)
+            for w in range(workers)
+        )
+        state, report = supervised_run(
+            config(
+                spec,
+                num_workers=workers,
+                backoff=self.TIGHT,
+                allow_degraded=True,
+                induced=induced,
+            )
+        )
+        assert report.outcome == "failed"
+        assert report.exit_code == 1
+        assert state is None
+
     def test_deadline_fails_the_run(self, spec):
         """A StepClock makes the deadline trip after a handful of clock
         reads — no real-time budget is burned waiting for it."""
@@ -291,6 +331,17 @@ class TestConfigValidation:
     def test_rejects_too_many_workers(self, spec):
         with pytest.raises(ConfigError, match="at least"):
             SupervisorConfig(spec=spec, generations=4, num_workers=16)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            InducedFault(worker=2, generation=1, kind="crash"),
+            InducedFault(worker=0, generation=5, kind="stall"),
+        ],
+    )
+    def test_rejects_induced_fault_that_cannot_fire(self, spec, fault):
+        with pytest.raises(ConfigError, match="induced"):
+            SupervisorConfig(spec=spec, generations=4, induced=(fault,))
 
     def test_rejects_mismatched_initial_state(self, spec):
         with pytest.raises(ConfigError, match="initial state"):

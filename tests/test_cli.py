@@ -411,6 +411,15 @@ class TestRun:
         assert main(args) == 2
         assert "meteor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["kill:2@4", "kill:0@9"])
+    def test_induce_outside_the_run_is_usage_error(self, capsys, token):
+        args = [
+            "run", "--supervised", "--workers", "2", "--generations", "8",
+            "--induce", token,
+        ]
+        assert main(args) == 2
+        assert "induced" in capsys.readouterr().err
+
     def test_direct_run_rejects_workers(self, capsys):
         args = [
             "run", "--rows", "32", "--cols", "32", "--generations", "4",
