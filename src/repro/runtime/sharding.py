@@ -49,7 +49,7 @@ class ShardRunner:
     converts only the :data:`BOUNDARY_ROWS` rows per side published by
     :meth:`boundary_rows` and the halo rows written by :meth:`set_halos`.
     The whole slab is unpacked only when :attr:`interior` is read — at
-    checkpoints and at collection.
+    checkpoints and for the final ``done`` message.
 
     Parameters
     ----------
@@ -123,7 +123,7 @@ class ShardRunner:
         """The owned slab's current state, as a fresh site-field array.
 
         Converts the whole slab out of the backend's storage, so read it
-        at checkpoints and collection, not every generation.
+        at checkpoints and at the end of the run, not every generation.
         """
         return self._lattice.read_rows(self.shard.halo_top, self._slab_stop)
 

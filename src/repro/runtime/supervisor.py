@@ -29,6 +29,7 @@ single evolution:
   boundary rows (the moving-frame analogue of
   ``PartitionedEngine.failed_slices``) and the run completes *degraded*
   (if allowed) with the dead slab assembled from its last checkpoint;
+  a run that loses every shard fails;
 * a **deadline** — the whole run aborts when a wall-clock budget is
   exhausted.
 
@@ -131,8 +132,8 @@ class SupervisorConfig:
     checkpoint_dir:
         Directory for per-worker durable checkpoints; a temporary
         directory (removed afterwards) when ``None``.
-    checkpoint_interval, checkpoint_keep:
-        Per-worker :class:`CheckpointStore` settings.
+    checkpoint_interval:
+        Generations between a worker's durable checkpoints.
     watchdog_timeout:
         Seconds a worker may owe the barrier a message before it is
         presumed hung and killed.
@@ -151,9 +152,8 @@ class SupervisorConfig:
         Complete (exit code 3) with dropped shards frozen at their last
         checkpoint instead of failing the run.
     induced:
-        Test-only process faults (:class:`InducedFault`).
-    start_method:
-        Multiprocessing start method; default prefers ``fork``.
+        Test-only process faults (:class:`InducedFault`); each must
+        name an existing worker.
     """
 
     spec: ModelSpec
@@ -167,7 +167,6 @@ class SupervisorConfig:
     obstacles: np.ndarray | None = None
     checkpoint_dir: str | None = None
     checkpoint_interval: int = 8
-    checkpoint_keep: int = 3
     watchdog_timeout: float = 10.0
     poll_interval: float = 0.02
     backoff: BackoffPolicy = field(default_factory=_default_backoff)
@@ -177,7 +176,6 @@ class SupervisorConfig:
     deadline_seconds: float | None = None
     allow_degraded: bool = False
     induced: tuple[InducedFault, ...] = ()
-    start_method: str | None = None
 
     def __post_init__(self) -> None:
         check_positive(self.generations, "generations", integer=True)
@@ -185,7 +183,6 @@ class SupervisorConfig:
         check_positive(self.watchdog_timeout, "watchdog_timeout")
         check_positive(self.poll_interval, "poll_interval")
         check_positive(self.checkpoint_interval, "checkpoint_interval", integer=True)
-        check_positive(self.checkpoint_keep, "checkpoint_keep", integer=True)
         check_nonnegative(self.max_total_restarts, "max_total_restarts")
         check_positive(self.breaker_threshold, "breaker_threshold", integer=True)
         check_nonnegative(self.breaker_cooldown, "breaker_cooldown")
@@ -206,6 +203,12 @@ class SupervisorConfig:
                 "left or right chirality policy"
             )
         plan_shards(self.spec.rows, self.num_workers)  # fail fast on geometry
+        for fault in self.induced:
+            if fault.worker >= self.num_workers:
+                raise ConfigError(
+                    f"induced fault {fault.to_dict()} names a worker a "
+                    f"{self.num_workers}-worker run does not have"
+                )
 
 
 @dataclass(frozen=True)
@@ -301,7 +304,6 @@ class _Handle:
         self.failures = 0  # consecutive, reset on checkpoint
         self.okay_since = 0.0  # monotonic time of last interaction
         self.restart_at = 0.0
-        self.error: str | None = None
         self.final_state: np.ndarray | None = None
 
     @property
@@ -341,9 +343,7 @@ class _Supervision:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._heartbeats = self.recorder.counter("supervisor.heartbeats")
         self.shards = plan_shards(self.spec.rows, config.num_workers)
-        method = config.start_method or (
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self.ctx = multiprocessing.get_context(method)
         self.rng = np.random.default_rng(config.seed + 0x5EED)
         self.breaker = CircuitBreaker(
@@ -418,7 +418,6 @@ class _Supervision:
             target_generation=self.config.generations,
             checkpoint_dir=str(self._worker_dir(h.index)),
             checkpoint_interval=self.config.checkpoint_interval,
-            checkpoint_keep=self.config.checkpoint_keep,
             incarnation=h.incarnation,
             initial_slab=(
                 self.initial[shard.row_start : shard.row_stop].copy()
@@ -446,7 +445,6 @@ class _Supervision:
         h.conn = parent
         h.status = "starting"
         h.okay_since = self.clock()
-        h.error = None
         self.recorder.event(
             "supervisor.spawn",
             worker=h.index,
@@ -536,6 +534,8 @@ class _Supervision:
                 f"worker {h.index} unrecoverable ({reason}) and degraded "
                 f"completion is not allowed",
             )
+        if not self._active():
+            raise _Abort("failed", "every worker was dropped")
 
     def _checkpointed_slab(self, h: _Handle) -> tuple[int, np.ndarray]:
         """Best recoverable state for a dead shard: checkpoint or t=0."""
@@ -632,6 +632,7 @@ class _Supervision:
             self.breaker.record_success(h.backend, msg[1])
         elif kind == "done":
             h.status = "done"
+            h.final_state = msg[2]
         elif kind == "error":
             self._fail(h, f"worker error: {msg[2]}")
 
@@ -652,6 +653,7 @@ class _Supervision:
             return True  # owes "ready"
         if h.status != "running":
             return False
+        # At the last barrier a running worker owes its final ``done``.
         return h.delivered < self.barrier or self.barrier >= self.config.generations
 
     def _check_timeouts(self, now: float) -> None:
@@ -699,8 +701,6 @@ class _Supervision:
                 for h in self.handles
                 if h.status in ("starting", "running") and h.conn is not None
             ]
-            if not self._active():
-                raise _Abort("failed", "every worker was dropped")
             waitables: list[object] = [h.conn for h in live]
             waitables += [h.proc.sentinel for h in live if h.proc is not None]
             if waitables:
@@ -726,57 +726,11 @@ class _Supervision:
     # -- collection ----------------------------------------------------
 
     def _collect(self) -> np.ndarray:
+        """The final lattice: each shard's ``done`` slab or frozen checkpoint."""
         full = np.zeros((self.spec.rows, self.spec.cols), dtype=np.uint8)
         for h in self.handles:
-            if h.status == "dropped":
-                full[h.shard.row_start : h.shard.row_stop] = h.final_state
-                continue
-            state = self._collect_one(h)
-            if state is None:
-                self._fail(h, "worker died before returning its final slab")
-                if h.status != "dropped":
-                    # _fail scheduled a restart, but collection cannot
-                    # wait for a whole re-run; degrade or abort instead.
-                    h.status = "dropped"
-                    generation, slab = self._checkpointed_slab(h)
-                    self.degraded.append(
-                        {
-                            "worker": h.index,
-                            "row_start": h.shard.row_start,
-                            "row_stop": h.shard.row_stop,
-                            "generation": generation,
-                        }
-                    )
-                    if not self.config.allow_degraded:
-                        raise _Abort(
-                            "failed",
-                            f"worker {h.index} lost at collection and degraded "
-                            f"completion is not allowed",
-                        )
-                    h.final_state = slab
-                full[h.shard.row_start : h.shard.row_stop] = h.final_state
-                continue
-            full[h.shard.row_start : h.shard.row_stop] = state
+            full[h.shard.row_start : h.shard.row_stop] = h.final_state
         return full
-
-    def _collect_one(self, h: _Handle) -> np.ndarray | None:
-        if h.conn is None:
-            return None
-        try:
-            h.conn.send(("collect",))
-            deadline = self.clock() + self.config.watchdog_timeout
-            while self.clock() < deadline:
-                if not h.conn.poll(timeout=self.config.poll_interval):
-                    continue
-                msg = h.conn.recv()
-                if msg[0] == "state":
-                    if msg[1] != self.config.generations:
-                        return None
-                    return np.asarray(msg[2], dtype=np.uint8)
-                self._on_message(h, msg)  # late checkpoint notices
-        except (OSError, EOFError):
-            return None
-        return None
 
     # -- telemetry -----------------------------------------------------
 

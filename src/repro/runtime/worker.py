@@ -10,8 +10,7 @@ worker sends                        supervisor replies
 ``clock)``
 ``("boundary", g, top, bottom)``    ``("halo", g, above, below)``
 ``("checkpoint", g)``               —  (accounting only)
-``("done", g)``                     ``("collect",)``
-``("state", g, slab)``              ``("stop",)``
+``("done", g, slab)``               ``("stop",)``
 ``("error", g, message)``           —  (the worker exits)
 =================================== =====================================
 
@@ -41,7 +40,8 @@ loses in lattice state.
 sibling of :class:`repro.resilience.faults.FaultSpec`): a configured
 worker kills itself, stalls, or raises at an exact generation, so tests
 and the CI smoke job exercise real worker death instead of simulated
-corruption.
+corruption.  A fault at the target generation fires after the last
+step, before ``done``: the worker dies with its final slab unsent.
 """
 
 from __future__ import annotations
@@ -73,6 +73,9 @@ __all__ = ["InducedFault", "WorkerConfig", "worker_main"]
 EXIT_INDUCED_CRASH = 13
 EXIT_ERROR = 3
 
+#: Durable checkpoints each worker keeps on disk.
+CHECKPOINT_KEEP = 3
+
 
 @dataclass(frozen=True)
 class InducedFault:
@@ -84,7 +87,8 @@ class InducedFault:
         Target worker index.
     generation:
         Fires when the worker is about to publish its boundary rows for
-        this generation.
+        this generation, or, at the target generation, just before it
+        sends its final slab.
     kind:
         ``"crash"`` (hard ``os._exit`` — models OOM-kill / segfault),
         ``"stall"`` (sleep ``seconds`` — models a hang; the watchdog
@@ -156,7 +160,6 @@ class WorkerConfig:
     target_generation: int
     checkpoint_dir: str
     checkpoint_interval: int
-    checkpoint_keep: int = 2
     incarnation: int = 0
     initial_slab: np.ndarray | None = None
     obstacles_mask: np.ndarray | None = None
@@ -260,7 +263,7 @@ def _worker_loop(
     model = config.spec.build(rows=shard.local_rows)
     store = CheckpointStore(
         interval=config.checkpoint_interval,
-        keep=config.checkpoint_keep,
+        keep=CHECKPOINT_KEEP,
         directory=config.checkpoint_dir,
     )
     restored = config.initial_slab is None
@@ -308,20 +311,13 @@ def _worker_loop(
     if not restored:
         _checkpoint(store, runner, conn, recorder, spool)
 
-    finished = _advance_to_target(config, conn, runner, store, recorder, spool)
-    _spool_snapshot(
-        spool,
-        recorder,
-        status="done" if finished else "stopped",
-        generation=runner.time,
-    )
-    if not finished:
+    if not _advance_to_target(config, conn, runner, store, recorder, spool):
+        _spool_snapshot(spool, recorder, status="stopped", generation=runner.time)
         return
-    conn.send(("done", runner.time))
-    msg = conn.recv()
-    if msg[0] == "collect":
-        conn.send(("state", runner.time, runner.interior))
-        conn.recv()  # the final ("stop",)
+    _fire_induced(config, runner.time)
+    _spool_snapshot(spool, recorder, status="done", generation=runner.time)
+    conn.send(("done", runner.time, runner.interior))
+    conn.recv()  # the final ("stop",)
 
 
 def worker_main(config: WorkerConfig, conn: Connection) -> None:

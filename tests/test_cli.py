@@ -411,11 +411,10 @@ class TestRun:
         assert main(args) == 2
         assert "meteor" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("token", ["kill:2@4", "kill:0@9"])
-    def test_induce_outside_the_run_is_usage_error(self, capsys, token):
+    def test_induce_on_a_missing_worker_is_usage_error(self, capsys):
         args = [
             "run", "--supervised", "--workers", "2", "--generations", "8",
-            "--induce", token,
+            "--induce", "kill:2@4",
         ]
         assert main(args) == 2
         assert "induced" in capsys.readouterr().err
