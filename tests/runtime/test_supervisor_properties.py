@@ -110,6 +110,12 @@ def test_outcome_matches_the_fault_schedule(trajectory, schedule):
     workers, backend, allow_degraded, faults = schedule
     state, report, made = run_schedule(*schedule)
 
+    # Only a worker the schedule faults may be restarted or dropped: a
+    # healthy worker waiting on the barrier must never be reaped.
+    faulted = {f.worker for f in faults}
+    assert {r.worker for r in report.restarts} <= faulted, report.restarts
+    assert {d["worker"] for d in report.degraded_shards} <= faulted
+
     lost = {f.worker for f in faults if f.incarnations > MAX_RETRIES}
     if not lost:
         assert (report.outcome, report.exit_code) == ("complete", 0), report.reason
