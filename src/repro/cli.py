@@ -766,7 +766,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         generations=args.generations,
         num_workers=num_workers,
         backend=args.backend,
-        fallback_backend=args.fallback_backend,
         density=args.density,
         seed=args.seed,
         checkpoint_dir=args.checkpoint_dir,
@@ -780,8 +779,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             jitter=0.1,
         ),
         max_total_restarts=args.max_restarts,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
         deadline_seconds=args.deadline,
         allow_degraded=args.allow_degraded,
         induced=tuple(_parse_induce(t) for t in (args.induce or [])),
@@ -819,7 +816,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     table.add_row("grid", f"{args.rows} x {args.cols} ({args.boundary})")
     table.add_row("generations", f"{report.generations_completed}/{report.generations}")
     table.add_row("workers", num_workers)
-    table.add_row("backend", f"{args.backend} (fallback: {args.fallback_backend})")
+    table.add_row("backend", f"{args.backend} (fallback: {report.fallback_backend})")
     table.add_row("outcome", report.outcome)
     table.add_row("reason", report.reason)
     table.add_row("restarts", len(report.restarts))
@@ -1124,12 +1121,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker process count for --supervised (integer, default 2)",
     )
-    p.add_argument(
-        "--fallback-backend",
-        choices=("reference", "bitplane"),
-        default="reference",
-        help="backend the circuit breaker falls back to",
-    )
     p.add_argument("--checkpoint-interval", type=int, default=8)
     p.add_argument(
         "--checkpoint-dir",
@@ -1160,8 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help="total restart budget across all workers",
     )
-    p.add_argument("--breaker-threshold", type=int, default=3)
-    p.add_argument("--breaker-cooldown", type=float, default=30.0)
     p.add_argument(
         "--deadline",
         type=float,

@@ -9,11 +9,13 @@ subsequent worker (re)spawns to a fallback backend — the verified
 ``reference`` kernels — so the run completes (bit-identically, since
 backends are equivalence-tested) instead of burning the restart budget.
 
-Standard three-state protocol:
+Standard three-state protocol, with one fixed policy
+(:data:`FALLBACK_BACKEND`, :data:`FAILURE_THRESHOLD`,
+:data:`COOLDOWN_SECONDS`):
 
 * **closed** — primary backend in use; consecutive failures counted.
-* **open** — fallback in use; after ``cooldown_seconds`` the next spawn
-  is allowed to probe the primary again (**half-open**).
+* **open** — fallback in use; after :data:`COOLDOWN_SECONDS` the next
+  spawn is allowed to probe the primary again (**half-open**).
 * **half-open** — exactly one probe worker runs the primary; durable
   progress (a checkpoint) closes the breaker, another failure re-opens
   it and restarts the cooldown.
@@ -26,9 +28,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.telemetry import MONOTONIC, Clock
-from repro.util.validation import check_nonnegative, check_positive
 
-__all__ = ["BreakerTransition", "CircuitBreaker"]
+__all__ = [
+    "COOLDOWN_SECONDS",
+    "FAILURE_THRESHOLD",
+    "FALLBACK_BACKEND",
+    "BreakerTransition",
+    "CircuitBreaker",
+]
+
+#: Backend every respawn falls back to while the breaker is open.
+FALLBACK_BACKEND = "reference"
+#: Consecutive primary-backend failures that open the breaker.
+FAILURE_THRESHOLD = 3
+#: Seconds the breaker stays open before a half-open probe.
+COOLDOWN_SECONDS = 30.0
 
 
 @dataclass(frozen=True)
@@ -56,35 +70,15 @@ class CircuitBreaker:
     Parameters
     ----------
     backend:
-        The primary backend this breaker guards.
-    fallback:
-        Backend selected while the breaker is open.  When it equals
-        ``backend`` the breaker is inert (there is nowhere to fall
-        back to) and always selects the primary.
-    failure_threshold:
-        Consecutive primary-backend failures that open the breaker.
-    cooldown_seconds:
-        Open time before a half-open probe is allowed.
+        The primary backend this breaker guards.  When it is
+        :data:`FALLBACK_BACKEND` the breaker is inert (there is nowhere
+        to fall back to) and always selects the primary.
     clock:
         Monotonic time source (injectable for tests).
     """
 
-    def __init__(
-        self,
-        backend: str,
-        fallback: str,
-        failure_threshold: int = 3,
-        cooldown_seconds: float = 30.0,
-        clock: Clock = MONOTONIC,
-    ):
+    def __init__(self, backend: str, clock: Clock = MONOTONIC):
         self.backend = backend
-        self.fallback = fallback
-        self.failure_threshold = check_positive(
-            failure_threshold, "failure_threshold", integer=True
-        )
-        self.cooldown_seconds = check_nonnegative(
-            cooldown_seconds, "cooldown_seconds"
-        )
         self._clock = clock
         self.state = "closed"
         self.consecutive_failures = 0
@@ -110,21 +104,21 @@ class CircuitBreaker:
         checked here: once elapsed, the breaker goes half-open and this
         spawn becomes the probe.
         """
-        if self.backend == self.fallback or self.state == "closed":
+        if self.backend == FALLBACK_BACKEND or self.state == "closed":
             return self.backend
         if self.state == "open":
-            if self._clock() - self._opened_at >= self.cooldown_seconds:
+            if self._clock() - self._opened_at >= COOLDOWN_SECONDS:
                 self._transition(
                     "half-open",
                     generation,
-                    f"cooldown of {self.cooldown_seconds:g}s elapsed; probing",
+                    f"cooldown of {COOLDOWN_SECONDS:g}s elapsed; probing",
                 )
                 self._probe_outstanding = True
                 return self.backend
-            return self.fallback
+            return FALLBACK_BACKEND
         # half-open: one probe at a time
         if self._probe_outstanding:
-            return self.fallback
+            return FALLBACK_BACKEND
         self._probe_outstanding = True
         return self.backend
 
@@ -133,7 +127,7 @@ class CircuitBreaker:
 
         Failures on the fallback never count against the primary.
         """
-        if backend != self.backend or self.backend == self.fallback:
+        if backend != self.backend or self.backend == FALLBACK_BACKEND:
             return
         self.consecutive_failures += 1
         if self.state == "half-open":
@@ -142,7 +136,7 @@ class CircuitBreaker:
             self._transition("open", generation, "probe failed")
         elif (
             self.state == "closed"
-            and self.consecutive_failures >= self.failure_threshold
+            and self.consecutive_failures >= FAILURE_THRESHOLD
         ):
             self._opened_at = self._clock()
             self._transition(
@@ -165,9 +159,9 @@ class CircuitBreaker:
         """JSON-serializable summary for the supervision report."""
         return {
             "backend": self.backend,
-            "fallback": self.fallback,
-            "failure_threshold": self.failure_threshold,
-            "cooldown_seconds": self.cooldown_seconds,
+            "fallback": FALLBACK_BACKEND,
+            "failure_threshold": FAILURE_THRESHOLD,
+            "cooldown_seconds": COOLDOWN_SECONDS,
             "state": self.state,
             "consecutive_failures": self.consecutive_failures,
             "transitions": [t.to_dict() for t in self.transitions],

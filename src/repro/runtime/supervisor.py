@@ -10,8 +10,10 @@ single evolution:
   ``g``, the supervisor routes each worker its neighbours' rows and the
   workers step.  The supervisor keeps a bounded *halo history* of these
   exchanges;
-* a **watchdog** — a worker that owes the barrier a message and has
-  been silent past ``watchdog_timeout`` is presumed hung and killed;
+* a **watchdog** — each worker the supervisor is waiting on carries a
+  reply deadline ``watchdog_timeout`` ahead, pushed out by each of its
+  messages; a worker silent past its deadline is presumed hung and
+  killed;
 * **checkpoint-restart** — dead or killed workers are respawned under a
   capped exponential-backoff-with-jitter policy
   (:class:`repro.util.backoff.BackoffPolicy`); the new incarnation
@@ -22,8 +24,7 @@ single evolution:
 * a per-primary-backend **circuit breaker**
   (:class:`~repro.runtime.breaker.CircuitBreaker`) — repeated failures
   attributed to the primary kernel backend reroute respawns to the
-  fallback (``reference``) backend, with a half-open probe after a
-  cooldown;
+  ``reference`` backend, with a half-open probe after a cooldown;
 * **graceful degradation** — a worker that exhausts its restart budget
   is dropped: its neighbours keep stepping against its last published
   boundary rows (the moving-frame analogue of
@@ -45,11 +46,12 @@ transitions) are emitted to an optional
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import shutil
 import tempfile
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
 
@@ -57,7 +59,7 @@ import numpy as np
 
 from repro.lgca.backends import check_backend
 from repro.resilience.checkpoint import CheckpointStore
-from repro.runtime.breaker import CircuitBreaker
+from repro.runtime.breaker import FALLBACK_BACKEND, CircuitBreaker
 from repro.runtime.modelspec import ModelSpec
 from repro.runtime.sharding import Shard, plan_shards
 from repro.runtime.worker import InducedFault, WorkerConfig, worker_main
@@ -119,9 +121,9 @@ class SupervisorConfig:
     num_workers:
         Worker processes / row slabs.
     backend:
-        Primary kernel backend for every worker.
-    fallback_backend:
-        Backend the circuit breaker falls back to (``reference``).
+        Primary kernel backend for every worker.  A circuit breaker
+        reroutes respawns to ``reference`` when it keeps failing (see
+        :mod:`repro.runtime.breaker` for its fixed policy).
     density, seed:
         Seeded uniform initial state (ignored when ``initial_state``
         is given).
@@ -135,17 +137,15 @@ class SupervisorConfig:
     checkpoint_interval:
         Generations between a worker's durable checkpoints.
     watchdog_timeout:
-        Seconds a worker may owe the barrier a message before it is
-        presumed hung and killed.
+        Seconds a worker the supervisor is waiting on may stay silent
+        before it is presumed hung and killed.
     poll_interval:
-        Supervisor event-loop wakeup period.
+        Supervisor event-loop wakeup period (finite).
     backoff:
         Restart delay policy; ``max_retries`` is also the per-worker
         restart budget between checkpoints.
     max_total_restarts:
         Run-wide restart budget across all workers.
-    breaker_threshold, breaker_cooldown:
-        Circuit-breaker settings for the primary backend.
     deadline_seconds:
         Wall-clock budget for the whole run (``None`` = unlimited).
     allow_degraded:
@@ -160,7 +160,6 @@ class SupervisorConfig:
     generations: int
     num_workers: int = 2
     backend: str = "reference"
-    fallback_backend: str = "reference"
     density: float = 0.3
     seed: int = 0
     initial_state: np.ndarray | None = None
@@ -171,8 +170,6 @@ class SupervisorConfig:
     poll_interval: float = 0.02
     backoff: BackoffPolicy = field(default_factory=_default_backoff)
     max_total_restarts: int = 8
-    breaker_threshold: int = 3
-    breaker_cooldown: float = 30.0
     deadline_seconds: float | None = None
     allow_degraded: bool = False
     induced: tuple[InducedFault, ...] = ()
@@ -182,14 +179,15 @@ class SupervisorConfig:
         check_positive(self.num_workers, "num_workers", integer=True)
         check_positive(self.watchdog_timeout, "watchdog_timeout")
         check_positive(self.poll_interval, "poll_interval")
+        if not math.isfinite(self.poll_interval):
+            raise ConfigError(
+                f"poll_interval={self.poll_interval!r} must be finite"
+            )
         check_positive(self.checkpoint_interval, "checkpoint_interval", integer=True)
-        check_nonnegative(self.max_total_restarts, "max_total_restarts")
-        check_positive(self.breaker_threshold, "breaker_threshold", integer=True)
-        check_nonnegative(self.breaker_cooldown, "breaker_cooldown")
+        check_nonnegative(self.max_total_restarts, "max_total_restarts", integer=True)
         if self.deadline_seconds is not None:
             check_positive(self.deadline_seconds, "deadline_seconds")
         check_backend(self.backend)
-        check_backend(self.fallback_backend)
         if self.spec.boundary not in _SHARDABLE_BOUNDARIES:
             raise ConfigError(
                 f"boundary={self.spec.boundary!r} cannot be sharded "
@@ -300,9 +298,10 @@ class _Handle:
         self.conn = None
         self.status = "restart-pending"  # spawned by the main loop
         self.incarnation = -1
-        self.delivered = -1  # highest generation whose boundary we hold
         self.failures = 0  # consecutive, reset on checkpoint
-        self.okay_since = 0.0  # monotonic time of last interaction
+        # Reply deadline while the supervisor waits on this worker;
+        # None while the worker waits on the supervisor.
+        self.deadline: float | None = None
         self.restart_at = 0.0
         self.final_state: np.ndarray | None = None
 
@@ -346,13 +345,7 @@ class _Supervision:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self.ctx = multiprocessing.get_context(method)
         self.rng = np.random.default_rng(config.seed + 0x5EED)
-        self.breaker = CircuitBreaker(
-            backend=config.backend,
-            fallback=config.fallback_backend,
-            failure_threshold=config.breaker_threshold,
-            cooldown_seconds=config.breaker_cooldown,
-            clock=clock,
-        )
+        self.breaker = CircuitBreaker(config.backend, clock=clock)
         init = (
             config.initial_state
             if config.initial_state is not None
@@ -373,7 +366,6 @@ class _Supervision:
             self.last_boundary[h.index] = (slab[:2].copy(), slab[-2:].copy())
         self.barrier = 0
         self.window = 2 * config.checkpoint_interval + 4
-        self.total_restarts = 0
         self.watchdog_kills = 0
         self.checkpoint_saves: dict[int, int] = {h.index: 0 for h in self.handles}
         self.restarts: list[RestartEvent] = []
@@ -406,7 +398,8 @@ class _Supervision:
             self.config.obstacles[shard.local_row_indices(self.spec.rows)]
         )
 
-    def _spawn(self, h: _Handle, first: bool) -> None:
+    def _spawn(self, h: _Handle) -> None:
+        first = h.incarnation < 0
         h.incarnation += 1
         h.backend = self.breaker.select_backend(self.barrier)
         shard = h.shard
@@ -444,7 +437,7 @@ class _Supervision:
         h.proc = proc
         h.conn = parent
         h.status = "starting"
-        h.okay_since = self.clock()
+        h.deadline = self.clock() + self.config.watchdog_timeout
         self.recorder.event(
             "supervisor.spawn",
             worker=h.index,
@@ -454,6 +447,7 @@ class _Supervision:
         )
 
     def _kill(self, h: _Handle) -> None:
+        h.deadline = None
         if h.conn is not None:
             h.conn.close()
             h.conn = None
@@ -481,33 +475,23 @@ class _Supervision:
         policy = self.config.backoff
         if (
             h.failures > policy.max_retries
-            or self.total_restarts >= self.config.max_total_restarts
+            or len(self.restarts) >= self.config.max_total_restarts
         ):
             self._drop(h, reason)
             return
         delay = policy.delay(h.failures - 1, self.rng)
         h.status = "restart-pending"
         h.restart_at = self.clock() + delay
-        self.restarts.append(
-            RestartEvent(
-                worker=h.index,
-                incarnation=h.incarnation + 1,
-                generation=self.barrier,
-                reason=reason,
-                delay=delay,
-                backend=h.backend,  # refreshed by the breaker at respawn
-            )
-        )
-        self.total_restarts += 1
-        self.recorder.event(
-            "supervisor.restart",
+        event = RestartEvent(
             worker=h.index,
             incarnation=h.incarnation + 1,
             generation=self.barrier,
             reason=reason,
             delay=delay,
-            backend=h.backend,
+            backend=h.backend,  # refreshed by the breaker at respawn
         )
+        self.restarts.append(event)
+        self.recorder.event("supervisor.restart", **asdict(event))
 
     def _drop(self, h: _Handle, reason: str) -> None:
         """Give up on a shard: freeze its boundary rows, note degradation."""
@@ -570,30 +554,36 @@ class _Supervision:
         return [h for h in self.handles if h.status != "dropped"]
 
     def _try_route(self) -> None:
-        """Advance the barrier while every live worker has published."""
-        while self.barrier < self.config.generations:
-            have = self.boundaries.get(self.barrier, {})
-            if any(h.index not in have for h in self._active()):
-                return
-            g = self.barrier
-            for h in self.handles:
-                if h.status != "running" or h.conn is None:
-                    continue
-                above, below = self._halo_for(h.index, g)
-                try:
-                    h.conn.send(("halo", g, above, below))
-                    h.okay_since = self.clock()
-                except OSError:
-                    self._fail(h, "pipe closed while sending halo")
-            self.barrier = g + 1
-            for old in [gg for gg in self.boundaries if gg < self.barrier - self.window]:
-                del self.boundaries[old]
+        """Advance the barrier once every live worker has published.
+
+        One step at most: no worker can publish ``barrier + 1`` before
+        it has received the halo for ``barrier``.
+        """
+        g = self.barrier
+        have = self.boundaries.get(g, {})
+        if g >= self.config.generations or any(
+            h.index not in have for h in self._active()
+        ):
+            return
+        for h in self.handles:
+            if h.status != "running":
+                continue
+            above, below = self._halo_for(h.index, g)
+            try:
+                h.conn.send(("halo", g, above, below))
+                h.deadline = self.clock() + self.config.watchdog_timeout
+            except OSError:
+                self._fail(h, "pipe closed while sending halo")
+        self.barrier = g + 1
+        for old in [gg for gg in self.boundaries if gg < self.barrier - self.window]:
+            del self.boundaries[old]
 
     # -- message handling ----------------------------------------------
 
     def _on_message(self, h: _Handle, msg: tuple) -> None:
         kind = msg[0]
-        h.okay_since = self.clock()
+        if h.deadline is not None:
+            h.deadline = self.clock() + self.config.watchdog_timeout
         self._heartbeats.add(1)
         if kind == "ready":
             _incarnation, restored = msg[1], msg[2]
@@ -625,13 +615,14 @@ class _Supervision:
             g, top, bottom = msg[1], msg[2], msg[3]
             self.boundaries.setdefault(g, {})[h.index] = (top, bottom)
             self.last_boundary[h.index] = (top, bottom)
-            h.delivered = max(h.delivered, g)
+            h.deadline = None  # it now waits for the halo
         elif kind == "checkpoint":
             self.checkpoint_saves[h.index] += 1
             h.failures = 0
             self.breaker.record_success(h.backend, msg[1])
         elif kind == "done":
             h.status = "done"
+            h.deadline = None
             h.final_state = msg[2]
         elif kind == "error":
             self._fail(h, f"worker error: {msg[2]}")
@@ -648,14 +639,6 @@ class _Supervision:
 
     # -- watchdog / deadline -------------------------------------------
 
-    def _owes_barrier(self, h: _Handle) -> bool:
-        if h.status == "starting":
-            return True  # owes "ready"
-        if h.status != "running":
-            return False
-        # At the last barrier a running worker owes its final ``done``.
-        return h.delivered < self.barrier or self.barrier >= self.config.generations
-
     def _check_timeouts(self, now: float) -> None:
         if (
             self.config.deadline_seconds is not None
@@ -666,12 +649,8 @@ class _Supervision:
                 f"deadline of {self.config.deadline_seconds:g}s exceeded at "
                 f"generation {self.barrier}",
             )
-        for h in self._active():
-            if (
-                h.status in ("starting", "running")
-                and self._owes_barrier(h)
-                and now - h.okay_since > self.config.watchdog_timeout
-            ):
+        for h in self.handles:
+            if h.deadline is not None and now > h.deadline:
                 self.watchdog_kills += 1
                 self.recorder.event(
                     "supervisor.watchdog_kill",
@@ -688,37 +667,29 @@ class _Supervision:
     # -- event loop ----------------------------------------------------
 
     def _loop(self) -> None:
-        for h in self.handles:
-            self._spawn(h, first=True)
         while True:
             now = self.clock()
             self._check_timeouts(now)
             for h in self.handles:
                 if h.status == "restart-pending" and now >= h.restart_at:
-                    self._spawn(h, first=False)
-            live = [
-                h
-                for h in self.handles
-                if h.status in ("starting", "running") and h.conn is not None
-            ]
-            waitables: list[object] = [h.conn for h in live]
-            waitables += [h.proc.sentinel for h in live if h.proc is not None]
-            if waitables:
-                _conn_wait(waitables, timeout=self.config.poll_interval)
+                    self._spawn(h)
+            live = [h for h in self.handles if h.status in ("starting", "running")]
+            ready: set[object] = set()
+            if live:
+                waitables = [h.conn for h in live] + [h.proc.sentinel for h in live]
+                ready.update(_conn_wait(waitables, timeout=self.config.poll_interval))
             else:
                 _time.sleep(self.config.poll_interval)
-            for h in list(live):
+            for h in live:
+                # The sentinel closes a moment before the pipe does; once
+                # the process is reaped every message it sent is queued.
+                exited = h.proc.sentinel in ready
+                if exited:
+                    h.proc.join(timeout=2.0)
                 self._drain(h)
-            for h in list(live):
-                if (
-                    h.status in ("starting", "running")
-                    and h.proc is not None
-                    and not h.proc.is_alive()
-                ):
-                    self._drain(h)  # salvage queued messages first
-                    if h.status in ("starting", "running"):
-                        code = h.proc.exitcode
-                        self._fail(h, f"worker process died (exit code {code})")
+                if exited and h.status in ("starting", "running"):
+                    code = h.proc.exitcode
+                    self._fail(h, f"worker process died (exit code {code})")
             self._try_route()
             if all(h.status == "done" for h in self._active()):
                 return
@@ -827,13 +798,13 @@ class _Supervision:
             generations_completed=self.barrier,
             num_workers=self.config.num_workers,
             backend=self.config.backend,
-            fallback_backend=self.config.fallback_backend,
+            fallback_backend=FALLBACK_BACKEND,
             restarts=self.restarts,
             watchdog_kills=self.watchdog_kills,
             checkpoint_saves=self.checkpoint_saves,
             breaker=(
                 self.breaker.to_dict()
-                if self.config.backend != self.config.fallback_backend
+                if self.config.backend != FALLBACK_BACKEND
                 else None
             ),
             degraded_shards=self.degraded,

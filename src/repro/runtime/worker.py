@@ -269,25 +269,18 @@ def _worker_loop(
     restored = config.initial_slab is None
     if restored:
         cp = CheckpointStore.load_latest(config.checkpoint_dir)
-        runner = ShardRunner(
-            model,
-            shard,
-            cp.state,
-            backend=config.backend,
-            obstacles_mask=config.obstacles_mask,
-            time=cp.generation,
-            recorder=recorder,
-        )
+        slab, generation = cp.state, cp.generation
     else:
-        runner = ShardRunner(
-            model,
-            shard,
-            config.initial_slab,
-            backend=config.backend,
-            obstacles_mask=config.obstacles_mask,
-            time=0,
-            recorder=recorder,
-        )
+        slab, generation = config.initial_slab, 0
+    runner = ShardRunner(
+        model,
+        shard,
+        slab,
+        backend=config.backend,
+        obstacles_mask=config.obstacles_mask,
+        time=generation,
+        recorder=recorder,
+    )
     if spool is not None:
         spool.open_frame(
             worker=config.worker,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.breaker import CircuitBreaker
+from repro.runtime.breaker import COOLDOWN_SECONDS, FAILURE_THRESHOLD, CircuitBreaker
 
 
 class FakeClock:
@@ -21,14 +21,8 @@ def clock():
     return FakeClock()
 
 
-def make(clock, threshold=3, cooldown=30.0):
-    return CircuitBreaker(
-        backend="bitplane",
-        fallback="reference",
-        failure_threshold=threshold,
-        cooldown_seconds=cooldown,
-        clock=clock,
-    )
+def make(clock):
+    return CircuitBreaker("bitplane", clock=clock)
 
 
 class TestClosed:
@@ -70,7 +64,7 @@ class TestTrip:
         assert "3 consecutive failures" in trip.reason
 
     def test_open_selects_fallback_until_cooldown(self, clock):
-        breaker = make(clock, cooldown=30.0)
+        breaker = make(clock)
         for g in range(3):
             breaker.record_failure("bitplane", g)
         clock.advance(29.0)
@@ -84,7 +78,7 @@ class TestHalfOpen:
             breaker.record_failure("bitplane", g)
 
     def test_cooldown_elapsed_allows_one_probe(self, clock):
-        breaker = make(clock, cooldown=30.0)
+        breaker = make(clock)
         self.trip(breaker)
         clock.advance(31.0)
         assert breaker.select_backend(5) == "bitplane"  # the probe
@@ -93,7 +87,7 @@ class TestHalfOpen:
         assert breaker.select_backend(5) == "reference"
 
     def test_probe_success_closes(self, clock):
-        breaker = make(clock, cooldown=30.0)
+        breaker = make(clock)
         self.trip(breaker)
         clock.advance(31.0)
         breaker.select_backend(5)
@@ -107,7 +101,7 @@ class TestHalfOpen:
         ]
 
     def test_probe_failure_reopens_and_restarts_cooldown(self, clock):
-        breaker = make(clock, cooldown=30.0)
+        breaker = make(clock)
         self.trip(breaker)
         clock.advance(31.0)
         breaker.select_backend(5)
@@ -121,15 +115,11 @@ class TestHalfOpen:
 
 class TestInertAndReport:
     def test_same_fallback_is_inert(self, clock):
-        breaker = CircuitBreaker("reference", "reference", clock=clock)
+        breaker = CircuitBreaker("reference", clock=clock)
         for g in range(10):
             breaker.record_failure("reference", g)
         assert breaker.select_backend(11) == "reference"
         assert breaker.transitions == []
-
-    def test_rejects_zero_threshold(self, clock):
-        with pytest.raises(ValueError):
-            make(clock, threshold=0)
 
     def test_to_dict_shape(self, clock):
         breaker = make(clock)
@@ -139,4 +129,6 @@ class TestInertAndReport:
         assert payload["state"] == "open"
         assert payload["backend"] == "bitplane"
         assert payload["fallback"] == "reference"
+        assert payload["failure_threshold"] == FAILURE_THRESHOLD == 3
+        assert payload["cooldown_seconds"] == COOLDOWN_SECONDS == 30.0
         assert payload["transitions"][0]["generation"] == 2

@@ -208,10 +208,7 @@ class TestCircuitBreaker:
             config(
                 spec,
                 backend="bitplane",
-                fallback_backend="reference",
                 checkpoint_interval=64,  # failures stay consecutive
-                breaker_threshold=3,
-                breaker_cooldown=1000.0,
                 induced=(
                     InducedFault(
                         worker=0,
@@ -235,7 +232,7 @@ class TestCircuitBreaker:
 
     def test_clean_bitplane_run_keeps_breaker_closed(self, spec, golden):
         state, report = supervised_run(
-            config(spec, backend="bitplane", fallback_backend="reference")
+            config(spec, backend="bitplane")
         )
         assert report.outcome == "complete"
         assert report.breaker["state"] == "closed"
@@ -336,6 +333,15 @@ class TestConfigValidation:
         fault = InducedFault(worker=2, generation=1, kind="crash")
         with pytest.raises(ConfigError, match="induced"):
             SupervisorConfig(spec=spec, generations=4, induced=(fault,))
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_rejects_non_integer_restart_budget(self, spec, bad):
+        with pytest.raises(TypeError, match="max_total_restarts"):
+            SupervisorConfig(spec=spec, generations=4, max_total_restarts=bad)
+
+    def test_rejects_infinite_poll_interval(self, spec):
+        with pytest.raises(ConfigError, match="poll_interval"):
+            SupervisorConfig(spec=spec, generations=4, poll_interval=float("inf"))
 
     def test_rejects_mismatched_initial_state(self, spec):
         with pytest.raises(ConfigError, match="initial state"):

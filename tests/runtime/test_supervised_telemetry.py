@@ -210,10 +210,7 @@ class TestBreakerScenario:
             config(
                 spec,
                 backend="bitplane",
-                fallback_backend="reference",
                 checkpoint_interval=64,
-                breaker_threshold=3,
-                breaker_cooldown=1000.0,
                 induced=(
                     InducedFault(
                         worker=0,
