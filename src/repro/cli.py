@@ -256,7 +256,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.engine,
         model,
         pipeline_depth=args.depth,
-        backend=args.backend,
         recorder=recorder,
         **machine_params.get(args.engine, {}),
     )
@@ -351,7 +350,7 @@ def _cmd_machines_list(args: argparse.Namespace) -> int:
         return 0
     table = Table(
         "Registered machines",
-        ["name", "architecture", "engine", "backends", "tickwise", "section"],
+        ["name", "architecture", "engine", "tickwise", "section"],
     )
     for spec in machines.specs():
         caps = spec.capabilities
@@ -359,7 +358,6 @@ def _cmd_machines_list(args: argparse.Namespace) -> int:
             spec.name,
             spec.title,
             spec.engine_cls.__name__,
-            ",".join(caps.backends),
             "yes" if caps.tickwise else "no",
             spec.paper_section,
         )
@@ -383,8 +381,6 @@ def _cmd_machines_describe(args: argparse.Namespace) -> int:
     table.add_row("paper section", spec.paper_section)
     table.add_row("engine", spec.engine_cls.__name__)
     caps = spec.capabilities
-    table.add_row("backends", ", ".join(caps.backends))
-    table.add_row("fault hooks", "yes" if caps.fault_hooks else "no")
     table.add_row("tickwise", "yes" if caps.tickwise else "no")
     table.add_row("side channel", "yes" if caps.side_channel else "no")
     table.add_row("degradable", "yes" if caps.degradable else "no")
@@ -626,13 +622,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         report_json,
         run_campaign,
     )
-    from repro.util.errors import ConfigError
-
-    if args.backend != "reference":
-        raise ConfigError(
-            "the fault-injection campaign mutates values inside the site "
-            "stream and requires backend='reference'"
-        )
 
     config = CampaignConfig(
         seed=args.seed,
@@ -940,7 +929,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("reference", "bitplane"),
         default="reference",
         help="stepping kernels: per-site reference or multi-spin coded "
-        "bit-planes",
+        "bit-planes; with --engine, only the reference automaton the "
+        "engine is checked against",
     )
     _add_telemetry_arg(p)
     p.set_defaults(func=_cmd_simulate)
@@ -1054,13 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sanitize)
 
     p = sub.add_parser("faults", help="run the fault-injection campaign")
-    p.add_argument(
-        "--backend",
-        choices=("reference", "bitplane"),
-        default="reference",
-        help="stepping kernels (the campaign's stream hooks require "
-        "'reference'; 'bitplane' is rejected)",
-    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rows", type=int, default=16)
     p.add_argument("--cols", type=int, default=16)

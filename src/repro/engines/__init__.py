@@ -10,8 +10,9 @@ sections 3–5 does:
   tick-accurate stage uses it and *proves by construction* that the
   paper's ``2L + 3``-site window suffices.
 * :mod:`repro.engines.streaming_core` — the shared
-  :class:`StreamingEngineCore` base: one ``run()`` loop, backend
-  selection, fault-hook plumbing, and stats production for all engines.
+  :class:`StreamingEngineCore` base: one ``run()`` loop that streams
+  every site through the PE stage, fault-hook plumbing, and stats
+  production for all engines.
 * :mod:`repro.engines.pipeline` — the serial pipelined architecture
   (section 3): one site per tick, k chained stages.
 * :mod:`repro.engines.wide_serial` — the WSA (section 4): P sites per

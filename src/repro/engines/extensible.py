@@ -8,8 +8,8 @@ registers reached through dedicated pins — which is why the pin budget
 allows exactly one lane (6D = 48 of 72 pins) and why the lattice size is
 no longer bounded by the chip area.
 
-The simulator inherits the serial dataflow — including kernel backends,
-fault-injection hooks, and tick-accurate simulation — from
+The simulator inherits the serial dataflow — including fault-injection
+hooks and tick-accurate simulation — from
 :class:`~repro.engines.streaming_core.StreamingEngineCore` and accounts
 the WSA-E-specific quantities: on-chip vs off-chip storage, pin usage
 split between the host stream and the delay break-outs, and the
@@ -45,11 +45,6 @@ class ExtensibleSerialEngine(StreamingEngineCore):
         Major cycle rate.
     post_collide:
         Optional fault-injection hook applied at every PE output.
-    backend:
-        Kernel backend evolving the frames (``"reference"`` streams
-        through the PE stage; ``"bitplane"`` computes the identical
-        evolution with multi-spin coded kernels).  Stats are unchanged;
-        fault hooks and tickwise simulation require ``"reference"``.
     """
 
     def __init__(
@@ -59,7 +54,6 @@ class ExtensibleSerialEngine(StreamingEngineCore):
         commercial_density: float = 8.0,
         clock_hz: float = 10e6,
         post_collide: PostCollideHook | None = None,
-        backend: str = "reference",
         recorder: "Recorder | None" = None,
     ):
         self.commercial_density = check_positive(
@@ -70,7 +64,6 @@ class ExtensibleSerialEngine(StreamingEngineCore):
             pipeline_depth=pipeline_depth,
             clock_hz=clock_hz,
             post_collide=post_collide,
-            backend=backend,
             recorder=recorder,
         )
 

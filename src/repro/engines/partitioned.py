@@ -100,12 +100,6 @@ class PartitionedEngine(StreamingEngineCore):
         the evolution is unchanged, but each pass takes
         ``⌈slices / healthy⌉`` times as long and the dead PEs drop out
         of the storage/PE accounting.
-    backend:
-        Kernel backend evolving the frames (``"reference"`` streams
-        through the PE stage; ``"bitplane"`` computes the identical
-        evolution with multi-spin coded kernels).  Stats and exchange
-        accounting are unchanged — they are data-independent properties
-        of the machine; fault hooks require ``"reference"``.
     """
 
     #: the mutually skewed slice streams have no single-stream tick model
@@ -119,7 +113,6 @@ class PartitionedEngine(StreamingEngineCore):
         clock_hz: float = 10e6,
         post_collide: PostCollideHook | None = None,
         failed_slices: tuple[int, ...] = (),
-        backend: str = "reference",
         recorder: "Recorder | None" = None,
     ):
         self.slice_width = check_positive(slice_width, "slice_width", integer=True)
@@ -132,7 +125,6 @@ class PartitionedEngine(StreamingEngineCore):
             pipeline_depth=pipeline_depth,
             clock_hz=clock_hz,
             post_collide=post_collide,
-            backend=backend,
             recorder=recorder,
         )
         self._build_exchange_maps()

@@ -186,37 +186,13 @@ def _hpp_stream_stencil(rows: int, cols: int) -> StreamStencil:
     )
 
 
-def make_rule(
-    model: FHPModel | HPPModel,
-    post_collide: PostCollideHook | None = None,
-) -> SiteUpdateRule:
+def make_rule(model: FHPModel | HPPModel) -> SiteUpdateRule:
     """Build the PE rule for a reference model (engines never re-derive
     physics — they reuse the verified collision tables).
 
-    ``post_collide``, when given, transforms every collided value before
-    it enters the delay line — the hook point
-    :mod:`repro.resilience` uses to inject PE pipeline-register upsets
-    and stuck-at collision outputs.
+    Fault injection happens downstream of the rule, at
+    :attr:`repro.engines.streaming_core.PipelineStage.post_collide`.
     """
-    rule = _make_rule_clean(model)
-    if post_collide is None:
-        return rule
-    inner = rule.collide
-    hook = post_collide
-
-    def collide_faulty(states, r, c, t):
-        out = np.asarray(inner(states, r, c, t))
-        return hook(out, np.asarray(r), np.asarray(c), t)
-
-    return SiteUpdateRule(
-        name=rule.name,
-        num_channels=rule.num_channels,
-        stencil=rule.stencil,
-        collide=collide_faulty,
-    )
-
-
-def _make_rule_clean(model: FHPModel | HPPModel) -> SiteUpdateRule:
     if isinstance(model, FHPModel):
         if model.boundary != "null":
             raise ValueError(

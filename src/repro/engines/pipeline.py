@@ -28,10 +28,9 @@ geometry (which *is* the base class's default).
 
 from __future__ import annotations
 
-from repro.engines.streaming_core import (  # noqa: F401 — _make_engine_stepper
-    PipelineStage,  # re-exported: pre-registry code imports both from here
+from repro.engines.streaming_core import (
+    PipelineStage,  # re-exported: pre-registry code imports it from here
     StreamingEngineCore,
-    _make_engine_stepper,
 )
 
 __all__ = ["PipelineStage", "SerialPipelineEngine"]
@@ -44,7 +43,7 @@ class SerialPipelineEngine(StreamingEngineCore):
     tick, ``2L + 3`` delay sites and one PE-chip per stage — exactly the
     defaults of :class:`~repro.engines.streaming_core.StreamingEngineCore`,
     whose constructor parameters (``model``, ``pipeline_depth``,
-    ``clock_hz``, ``post_collide``, ``backend``) and :meth:`run` it
+    ``clock_hz``, ``post_collide``, ``recorder``) and :meth:`run` it
     inherits unchanged.
     """
 

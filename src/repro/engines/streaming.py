@@ -24,7 +24,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from repro.engines.pe import PostCollideHook, make_rule
+from repro.engines.pe import make_rule
 from repro.lgca.automaton import SiteModel
 from repro.util.errors import ConfigError
 from repro.util.validation import check_positive
@@ -52,15 +52,10 @@ class StreamingRowUpdater:
             ...
     """
 
-    def __init__(
-        self,
-        model: SiteModel,
-        start_time: int = 0,
-        post_collide: PostCollideHook | None = None,
-    ):
+    def __init__(self, model: SiteModel, start_time: int = 0):
         self.model = model
         self.time = start_time
-        self.rule = make_rule(model, post_collide=post_collide)
+        self.rule = make_rule(model)
         self._stencil = self.rule.stencil
         self.cols = model.cols
 

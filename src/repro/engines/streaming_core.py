@@ -9,18 +9,18 @@ lattice ``k`` generations while the accounting tallies ticks, main
 memory traffic, side-channel traffic, and silicon.
 
 :class:`StreamingEngineCore` implements that skeleton once — the
-``run()`` loop, double buffering, kernel-backend selection, fault-hook
-plumbing, and :class:`~repro.engines.stats.EngineRunStats` production —
-and each architecture subclasses it with only its geometry: a name,
+``run()`` loop, double buffering, fault-hook plumbing, and
+:class:`~repro.engines.stats.EngineRunStats` production — and each
+architecture subclasses it with only its geometry: a name,
 ``ticks_per_pass``, storage/PE/chip counts, and (for the SPA) the
 side-channel bits per stage pass.  Every cross-cutting feature added
-here (backends, fault hooks, tickwise simulation) is inherited by all
-engines uniformly, with uniform error messages.
+here (fault hooks, tickwise simulation) is inherited by all engines
+uniformly, with uniform error messages.  Every engine has one evolution
+path: each generation streams every site through the PE stage.
 
 The module also hosts :class:`PipelineStage` — the single-stage
-collide + delay-line model every engine composes — and the backend
-resolver; :mod:`repro.engines.pipeline` re-exports both for backward
-compatibility.
+collide + delay-line model every engine composes;
+:mod:`repro.engines.pipeline` re-exports it for backward compatibility.
 """
 
 from __future__ import annotations
@@ -34,36 +34,11 @@ from repro.engines.pe import PostCollideHook, SiteUpdateRule, make_rule
 from repro.engines.shiftreg import ShiftRegister
 from repro.engines.stats import EngineRunStats
 from repro.lgca.automaton import SiteModel
-from repro.lgca.backends import KernelStepper, check_backend, evolve, make_stepper
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.hotpath import hot_path
 from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = ["PipelineStage", "StreamingEngineCore"]
-
-
-def _make_engine_stepper(
-    model: SiteModel,
-    backend: str,
-    post_collide: PostCollideHook | None,
-    recorder: Recorder | None = None,
-) -> KernelStepper | None:
-    """Resolve an engine's frame-evolution backend.
-
-    ``None`` means "stream every site through the PE stage" (the
-    reference dataflow the engines exist to model).  Any other
-    backend evolves frames with its stepper instead — the
-    evolution is identical (the backends are bit-exact by contract and
-    by test), only wall-clock speed changes.  Fault-injection hooks
-    mutate values *inside* the stream, so they require the reference
-    dataflow.  The name is checked without building a stepper, whose
-    lattice buffers the reference dataflow would never use.
-    """
-    if check_backend(backend) == "reference":
-        return None
-    if post_collide is not None:
-        raise ValueError("fault-injection hooks require backend='reference'")
-    return make_stepper(model, backend=backend, recorder=recorder)
 
 
 @dataclass
@@ -245,9 +220,9 @@ class StreamingEngineCore:
     """Base class for the cycle-level engine simulators.
 
     Owns everything the four architectures share: parameter validation,
-    the verified site-update rule and :class:`PipelineStage`, kernel
-    backend resolution, and the pass loop in :meth:`run` that advances
-    ``pipeline_depth`` generations per pass while accounting ticks,
+    the verified site-update rule and :class:`PipelineStage`, and the
+    pass loop in :meth:`run` that streams every site through the stage,
+    ``pipeline_depth`` generations per pass, while accounting ticks,
     main-memory bits, side-channel bits, and silicon.
 
     Subclasses supply only their geometry by overriding:
@@ -276,26 +251,15 @@ class StreamingEngineCore:
     post_collide:
         Optional fault-injection hook applied at every PE output
         (see :class:`PipelineStage`).
-    backend:
-        Kernel backend evolving the frames (see
-        :mod:`repro.lgca.backends`).  ``"reference"`` streams every site
-        through the PE stage; ``"bitplane"`` computes the (identical)
-        evolution with the multi-spin coded kernels, packing the frame
-        once per :meth:`run` — much faster for large frames.  Stats
-        accounting is unchanged: it models the *hardware*, which is the
-        same machine either way.  Fault hooks and tick-accurate
-        simulation require the reference backend.
     recorder:
         Optional :class:`~repro.telemetry.Recorder`.  :meth:`run` emits
         run/pass spans and keeps its accounting on recorder counters
-        (``engine.ticks``, ``engine.io_bits_main``, …), and the kernel
-        stepper (non-reference backends) reports its per-generation
-        timings through the same recorder.  The default
+        (``engine.ticks``, ``engine.io_bits_main``, …).  The default
         :data:`~repro.telemetry.NULL_RECORDER` makes all of this free;
         the evolution is bit-identical either way.
     """
 
-    #: whether :meth:`run` accepts ``tickwise=True`` on the reference backend
+    #: whether :meth:`run` accepts ``tickwise=True``
     supports_tickwise: ClassVar[bool] = True
 
     def __init__(
@@ -304,7 +268,6 @@ class StreamingEngineCore:
         pipeline_depth: int = 1,
         clock_hz: float = 10e6,
         post_collide: PostCollideHook | None = None,
-        backend: str = "reference",
         recorder: Recorder | None = None,
     ):
         self.model = model
@@ -312,9 +275,7 @@ class StreamingEngineCore:
         self.clock_hz = check_positive(clock_hz, "clock_hz")
         self.rule = make_rule(model)
         self.stage = PipelineStage(self.rule, post_collide=post_collide)
-        self.backend = backend
         self.recorder: Recorder = recorder if recorder is not None else NULL_RECORDER
-        self._stepper = _make_engine_stepper(model, backend, post_collide, recorder)
 
     # -- identity and geometry hooks --------------------------------------------
 
@@ -384,8 +345,6 @@ class StreamingEngineCore:
             raise ValueError(
                 f"{type(self).__name__} does not support tickwise simulation"
             )
-        if tickwise and self._stepper is not None:
-            raise ValueError("tickwise simulation requires backend='reference'")
         frame = self.model.check_state(frame)
         n = self.num_sites
         d = self.model.bits_per_site
@@ -402,18 +361,12 @@ class StreamingEngineCore:
         done = 0
         t = start_time
         with rec.span("engine.run", generation=start_time):
-            if self._stepper is not None:
-                # One conversion in and out per run; the passes below
-                # then only account for the modelled hardware.
-                stream = evolve(self._stepper, frame, generations, start_time).ravel()
-            else:
-                stream = frame.ravel().copy()
+            stream = frame.ravel().copy()
             while done < generations:
                 span = min(self.pipeline_depth, generations - done)
                 with rec.span("engine.pass", tick=ticks_c.value - ticks0, generation=t):
-                    if self._stepper is None:
-                        for g in range(t, t + span):
-                            stream = self._advance_stream(stream, g, tickwise)
+                    for g in range(t, t + span):
+                        stream = self._advance_stream(stream, g, tickwise)
                 t += span
                 ticks_c.add(self.ticks_per_pass(span))
                 io_c.add(2 * d * n)  # read every site once, write every site once
@@ -421,7 +374,7 @@ class StreamingEngineCore:
                 updates_c.add(span * n)
                 passes_c.add(1)
                 done += span
-        if self._stepper is None and generations > 0:
+        if generations > 0:
             # Detach from the stage's internal buffer.
             stream = stream.copy()
         stats = EngineRunStats(

@@ -50,11 +50,6 @@ class WideSerialEngine(StreamingEngineCore):
         Major cycle rate.
     post_collide:
         Optional fault-injection hook applied at every PE output.
-    backend:
-        Kernel backend evolving the frames (``"reference"`` streams
-        through the PE stage; ``"bitplane"`` computes the identical
-        evolution with multi-spin coded kernels).  Stats are unchanged;
-        fault hooks and tickwise simulation require ``"reference"``.
     """
 
     def __init__(
@@ -64,7 +59,6 @@ class WideSerialEngine(StreamingEngineCore):
         pipeline_depth: int = 1,
         clock_hz: float = 10e6,
         post_collide: PostCollideHook | None = None,
-        backend: str = "reference",
         recorder: "Recorder | None" = None,
     ):
         self.lanes = check_positive(lanes, "lanes", integer=True)
@@ -73,7 +67,6 @@ class WideSerialEngine(StreamingEngineCore):
             pipeline_depth=pipeline_depth,
             clock_hz=clock_hz,
             post_collide=post_collide,
-            backend=backend,
             recorder=recorder,
         )
 

@@ -7,8 +7,8 @@ Importing this module (which :mod:`repro.machines` does) registers one
 * the closed-form design model (:mod:`repro.core.wsa` /
   :mod:`repro.core.spa` / :mod:`repro.core.wsa_e`),
 * exact predicted cycle counts the simulators must reproduce, and
-* the capability flags (backends, fault hooks, tickwise, side
-  channels, graceful degradation).
+* the capability flags (tickwise, side channels, graceful
+  degradation).
 
 The predicted-ticks formulas mirror the pass loop of
 :class:`~repro.engines.streaming_core.StreamingEngineCore`: a run of
@@ -257,7 +257,6 @@ SERIAL = register(
             "pipeline_depth",
             "clock_hz",
             "post_collide",
-            "backend",
             "recorder",
         ),
         design_summary=_serial_design,
@@ -278,7 +277,6 @@ WSA = register(
             "pipeline_depth",
             "clock_hz",
             "post_collide",
-            "backend",
             "recorder",
         ),
         design_summary=_wsa_design,
@@ -304,7 +302,6 @@ SPA = register(
             "clock_hz",
             "post_collide",
             "failed_slices",
-            "backend",
             "recorder",
         ),
         default_params={"slice_width": 8},
@@ -328,7 +325,6 @@ WSA_E = register(
             "commercial_density",
             "clock_hz",
             "post_collide",
-            "backend",
             "recorder",
         ),
         design_summary=_wsa_e_design,

@@ -28,7 +28,7 @@ __all__ = ["MachineCapabilities", "MachineSpec", "SCHEMA_NAME", "SCHEMA_VERSION"
 #: schema tag stamped into every ``describe()`` payload
 SCHEMA_NAME = "repro-machine"
 #: bump when the payload layout changes incompatibly
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,6 @@ class MachineCapabilities:
 
     Attributes
     ----------
-    backends:
-        Kernel backends the engine accepts (``"reference"`` always;
-        ``"bitplane"`` for the multi-spin coded kernels).
-    fault_hooks:
-        Whether ``post_collide`` fault-injection hooks are accepted
-        (reference backend only, as everywhere).
     tickwise:
         Whether ``run(..., tickwise=True)`` performs a tick-accurate
         delay-line simulation.
@@ -54,8 +48,6 @@ class MachineCapabilities:
         (``failed_slices`` remapping).
     """
 
-    backends: tuple[str, ...] = ("reference", "bitplane")
-    fault_hooks: bool = True
     tickwise: bool = True
     side_channel: bool = False
     degradable: bool = False
@@ -63,8 +55,6 @@ class MachineCapabilities:
     def to_dict(self) -> dict[str, object]:
         """JSON-ready mapping of the capability flags."""
         return {
-            "backends": list(self.backends),
-            "fault_hooks": self.fault_hooks,
             "tickwise": self.tickwise,
             "side_channel": self.side_channel,
             "degradable": self.degradable,

@@ -181,21 +181,10 @@ def test_automaton_run(case, backend):
     _check(auto.state, case)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("machine", ["serial", "wsa", "spa", "wsa-e"])
 @pytest.mark.parametrize("case", ENGINE_CASES, ids=_ids(ENGINE_CASES))
-def test_engine_run(case, backend):
-    engine = machines.create("serial", case.spec.build(), pipeline_depth=3, backend=backend)
-    final, stats = engine.run(case.initial_state(), GENERATIONS)
-    assert stats.site_updates == GENERATIONS * ROWS * COLS
-    _check(final, case)
-
-
-@pytest.mark.parametrize("backend", [None, *BACKENDS])  # None: the PE stream
-@pytest.mark.parametrize("machine", ["wsa", "spa", "wsa-e"])
-@pytest.mark.parametrize("case", ENGINE_CASES, ids=_ids(ENGINE_CASES))
-def test_machine_run(case, machine, backend):
-    params = {} if backend is None else {"backend": backend}
-    engine = machines.create(machine, case.spec.build(), pipeline_depth=3, **params)
+def test_machine_run(case, machine):
+    engine = machines.create(machine, case.spec.build(), pipeline_depth=3)
     final, stats = engine.run(case.initial_state(), GENERATIONS)
     assert stats.site_updates == GENERATIONS * ROWS * COLS
     _check(final, case)

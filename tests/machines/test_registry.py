@@ -125,17 +125,6 @@ class TestCapabilities:
         for spec in machines.specs():
             assert spec.capabilities.tickwise == spec.engine_cls.supports_tickwise
 
-    def test_reference_backend_always_supported(self):
-        for spec in machines.specs():
-            assert "reference" in spec.capabilities.backends
-
-    def test_declared_backends_actually_construct(self):
-        model = _model()
-        for spec in machines.specs():
-            for backend in spec.capabilities.backends:
-                engine = spec.create(model, backend=backend)
-                assert engine.backend == backend
-
     def test_side_channel_and_degradable_only_on_spa(self):
         flags = {
             spec.name: (spec.capabilities.side_channel, spec.capabilities.degradable)
@@ -168,7 +157,7 @@ class TestDescribe:
         for spec in machines.specs():
             payload = spec.describe()
             assert payload["schema"] == machines.SCHEMA_NAME == "repro-machine"
-            assert payload["version"] == machines.SCHEMA_VERSION == 1
+            assert payload["version"] == machines.SCHEMA_VERSION == 2
 
     def test_payload_shape(self):
         payload = machines.get("wsa").describe()
@@ -177,8 +166,6 @@ class TestDescribe:
         assert set(payload["parameters"]) == {"accepted", "defaults"}
         assert "lanes" in payload["parameters"]["accepted"]
         assert set(payload["capabilities"]) == {
-            "backends",
-            "fault_hooks",
             "tickwise",
             "side_channel",
             "degradable",

@@ -136,6 +136,28 @@ class TestSimulate:
         assert code == 0
         assert "bit-exact" in capsys.readouterr().out
 
+    def test_corrupted_engine_stream_is_a_mismatch(self, capsys, monkeypatch):
+        """With --backend bitplane the engine still runs its own PE stream,
+        so a stage that flips one bit per generation is caught."""
+        from repro.engines.streaming_core import PipelineStage
+
+        process = PipelineStage.process
+
+        def corrupted(self, stream, generation):
+            out = process(self, stream, generation)
+            out[0] ^= 1
+            return out
+
+        monkeypatch.setattr(PipelineStage, "process", corrupted)
+        code = main(
+            [
+                "simulate", "--model", "hpp", "--rows", "12", "--cols", "66",
+                "--steps", "6", "--engine", "serial", "--backend", "bitplane",
+            ]
+        )
+        assert code == 1
+        assert "MISMATCH" in capsys.readouterr().out
+
     def test_unknown_backend_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--backend", "parallel", "--steps", "2"])
@@ -186,7 +208,7 @@ class TestMachinesRegistry:
         assert main(["machines", "list", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "repro-machine"
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert [m["name"] for m in payload["machines"]] == [
             "serial",
             "wsa",
@@ -446,10 +468,11 @@ class TestRun:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_faults_rejects_non_reference_backend(self, capsys):
-        args = ["faults", "--backend", "bitplane"]
-        assert main(args) == 2
-        assert "reference" in capsys.readouterr().err
+    def test_faults_has_no_backend_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", "--backend", "reference"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_bad_induce_generation_is_usage_error(self, capsys):
         args = ["run", "--supervised", "--induce", "kill:0@notanumber"]
@@ -475,6 +498,26 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["outcome"] == "degraded"
         assert payload["degraded_shards"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--rows", "0"],
+        ["simulate", "--engine", "serial", "--depth", "0"],
+        ["run", "--density", "2"],
+        ["run", "--generations", "-1"],
+        ["pebble", "--side", "0"],
+        ["bounds", "--storage", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_number_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"repro {argv[0]}: ")
+    assert err.count("\n") == 1
 
 
 class TestTelemetry:
