@@ -181,13 +181,34 @@ def test_automaton_run(case, backend):
     _check(auto.state, case)
 
 
-@pytest.mark.parametrize("machine", ["serial", "wsa", "spa", "wsa-e"])
-@pytest.mark.parametrize("case", ENGINE_CASES, ids=_ids(ENGINE_CASES))
-def test_machine_run(case, machine):
+def _check_engine(machine: str, case: Case, backend: str | None) -> None:
+    """Run ``machine``'s PE stream and check it against the digest.
+
+    With a ``backend``, the result must also equal the automaton evolved
+    on that backend — the comparison ``repro simulate --engine MACHINE
+    --backend BACKEND`` makes.  Engines take no backend of their own.
+    """
     engine = machines.create(machine, case.spec.build(), pipeline_depth=3)
     final, stats = engine.run(case.initial_state(), GENERATIONS)
     assert stats.site_updates == GENERATIONS * ROWS * COLS
+    if backend is not None:
+        auto = case.automaton(backend)
+        auto.run(GENERATIONS)
+        np.testing.assert_array_equal(final, auto.state)
     _check(final, case)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", ENGINE_CASES, ids=_ids(ENGINE_CASES))
+def test_engine_run(case, backend):
+    _check_engine("serial", case, backend)
+
+
+@pytest.mark.parametrize("backend", [None, *BACKENDS])  # None: the digest alone
+@pytest.mark.parametrize("machine", ["wsa", "spa", "wsa-e"])
+@pytest.mark.parametrize("case", ENGINE_CASES, ids=_ids(ENGINE_CASES))
+def test_machine_run(case, machine, backend):
+    _check_engine(machine, case, backend)
 
 
 def _evolve_sharded(case: Case, workers: int, backend: str) -> np.ndarray:
