@@ -654,10 +654,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _parse_induce(token: str):
     """Parse an ``--induce`` spec: ``KIND:WORKER@GEN[:key=value...]``.
 
-    ``KIND`` is ``kill`` (alias ``crash``), ``stall``, or
-    ``backend-error``; optional ``key=value`` suffixes are ``backend=``
-    (only fire on that backend), ``lives=`` (fire for the first N
-    incarnations), and ``seconds=`` (stall duration).
+    ``KIND`` is ``kill`` (alias ``crash``), ``stall``, or ``error``;
+    optional ``key=value`` suffixes are ``lives=`` (fire for the first N
+    incarnations) and ``seconds=`` (stall duration).
     """
     from repro.runtime import InducedFault
     from repro.util.errors import ConfigError
@@ -669,18 +668,18 @@ def _parse_induce(token: str):
         )
     kind = {"kill": "crash"}.get(parts[0], parts[0])
     worker_s, _, gen_s = parts[1].partition("@")
-    extras: dict[str, object] = {}
+    options: dict[str, str] = {}
     for part in parts[2:]:
         key, _, value = part.partition("=")
-        if key == "backend":
-            extras["backend"] = value
-        elif key == "lives":
-            extras["incarnations"] = int(value)
-        elif key == "seconds":
-            extras["seconds"] = float(value)
-        else:
+        if key not in ("lives", "seconds"):
             raise ConfigError(f"bad --induce option {part!r} in {token!r}")
+        options[key] = value
+    extras: dict[str, object] = {}
     try:
+        if "lives" in options:
+            extras["incarnations"] = int(options["lives"])
+        if "seconds" in options:
+            extras["seconds"] = float(options["seconds"])
         return InducedFault(
             worker=int(worker_s), generation=int(gen_s), kind=kind, **extras
         )
@@ -805,14 +804,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     table.add_row("grid", f"{args.rows} x {args.cols} ({args.boundary})")
     table.add_row("generations", f"{report.generations_completed}/{report.generations}")
     table.add_row("workers", num_workers)
-    table.add_row("backend", f"{args.backend} (fallback: {report.fallback_backend})")
+    table.add_row("backend", args.backend)
     table.add_row("outcome", report.outcome)
     table.add_row("reason", report.reason)
     table.add_row("restarts", len(report.restarts))
     table.add_row("watchdog kills", report.watchdog_kills)
-    if report.breaker is not None:
-        trips = len(report.breaker["transitions"])  # type: ignore[arg-type]
-        table.add_row("breaker", f"{report.breaker['state']} ({trips} transition(s))")
     if report.degraded_shards:
         table.add_row(
             "degraded shards",
@@ -829,8 +825,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for event in report.restarts:
         print(
             f"restart: worker {event.worker} incarnation {event.incarnation} "
-            f"at generation {event.generation} after {event.delay:.2f}s "
-            f"on {event.backend!r}: {event.reason}"
+            f"at generation {event.generation} after {event.delay:.2f}s: "
+            f"{event.reason}"
         )
     return exit_code
 
@@ -1152,7 +1148,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="induce a worker fault for testing: KIND:WORKER@GEN"
-        "[:backend=B][:lives=N][:seconds=S], KIND in kill|stall|backend-error",
+        "[:lives=N][:seconds=S], KIND in kill|stall|error",
     )
     p.add_argument(
         "--verify",

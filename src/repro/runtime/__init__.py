@@ -6,9 +6,9 @@ lattice is split into row slabs (:mod:`repro.runtime.sharding`), each
 slab evolves in its own worker process (:mod:`repro.runtime.worker`),
 and a supervisor (:mod:`repro.runtime.supervisor`) runs the halo-exchange
 barrier, watches heartbeats, restarts dead or hung workers from durable
-checkpoints, trips a per-backend circuit breaker
-(:mod:`repro.runtime.breaker`), and reports everything in a
-schema-versioned supervision report.
+checkpoints, and reports everything in a schema-versioned supervision
+report.  Every worker of a run, and every restart, runs the run's one
+kernel backend.
 
 The headline invariant: a supervised run that loses no shard
 permanently — however many workers crashed and restarted along the way —
@@ -16,7 +16,6 @@ produces a final lattice **bit-identical** to the unsupervised
 single-process evolution.
 """
 
-from repro.runtime.breaker import BreakerTransition, CircuitBreaker
 from repro.runtime.modelspec import MODEL_KINDS, ModelSpec
 from repro.runtime.sharding import BOUNDARY_ROWS, Shard, ShardRunner, plan_shards
 from repro.runtime.supervisor import (
@@ -31,8 +30,6 @@ from repro.runtime.worker import InducedFault, WorkerConfig, worker_main
 
 __all__ = [
     "BOUNDARY_ROWS",
-    "BreakerTransition",
-    "CircuitBreaker",
     "InducedFault",
     "MODEL_KINDS",
     "ModelSpec",

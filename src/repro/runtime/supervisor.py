@@ -1,4 +1,4 @@
-"""The supervised sharded runtime: watchdog, restarts, breaker, report.
+"""The supervised sharded runtime: watchdog, restarts, report.
 
 :func:`supervised_run` shards a lattice evolution across worker
 *processes* (row slabs with halo exchange, :mod:`repro.runtime.sharding`)
@@ -20,11 +20,10 @@ single evolution:
   restores the newest intact durable checkpoint
   (:class:`~repro.resilience.checkpoint.CheckpointStore`) and the
   supervisor replays the halo history to catch it up to the barrier —
-  so a restarted run is **bit-identical** to an undisturbed one;
-* a per-primary-backend **circuit breaker**
-  (:class:`~repro.runtime.breaker.CircuitBreaker`) — repeated failures
-  attributed to the primary kernel backend reroute respawns to the
-  ``reference`` backend, with a half-open probe after a cooldown;
+  so a restarted run is **bit-identical** to an undisturbed one.  A
+  worker that raises is restarted the same way: every worker and every
+  restart runs the run's one kernel backend, so a kernel bug replays
+  instead of hiding behind another backend;
 * **graceful degradation** — a worker that exhausts its restart budget
   is dropped: its neighbours keep stepping against its last published
   boundary rows (the moving-frame analogue of
@@ -36,11 +35,10 @@ single evolution:
 
 Everything observable lands in a schema-versioned
 :class:`SupervisionReport`.  All timekeeping goes through one
-injectable :class:`~repro.telemetry.Clock` shared with the breaker
-(defaulting to the telemetry spine's monotonic clock), so the
-watchdog/deadline tests drive virtual time instead of sleeping, and
-worker lifecycle events (spawn, restart, watchdog kill, drop, breaker
-transitions) are emitted to an optional
+injectable :class:`~repro.telemetry.Clock` (defaulting to the
+telemetry spine's monotonic clock), so the watchdog/deadline tests
+drive virtual time instead of sleeping, and worker lifecycle events
+(spawn, restart, watchdog kill, drop) are emitted to an optional
 :class:`~repro.telemetry.Recorder` alongside the report.
 """
 
@@ -59,7 +57,6 @@ import numpy as np
 
 from repro.lgca.backends import check_backend
 from repro.resilience.checkpoint import CheckpointStore
-from repro.runtime.breaker import FALLBACK_BACKEND, CircuitBreaker
 from repro.runtime.modelspec import ModelSpec
 from repro.runtime.sharding import Shard, plan_shards
 from repro.runtime.worker import InducedFault, WorkerConfig, worker_main
@@ -93,7 +90,7 @@ __all__ = [
 
 #: Supervision report schema identity.
 REPORT_SCHEMA = "repro-supervised-run"
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 #: Sub-lattice boundaries the row decomposition can reproduce exactly.
 _SHARDABLE_BOUNDARIES = ("periodic", "null")
@@ -121,9 +118,7 @@ class SupervisorConfig:
     num_workers:
         Worker processes / row slabs.
     backend:
-        Primary kernel backend for every worker.  A circuit breaker
-        reroutes respawns to ``reference`` when it keeps failing (see
-        :mod:`repro.runtime.breaker` for its fixed policy).
+        Kernel backend for every worker and every restart.
     density, seed:
         Seeded uniform initial state (ignored when ``initial_state``
         is given).
@@ -218,7 +213,6 @@ class RestartEvent:
     generation: int
     reason: str
     delay: float
-    backend: str
 
     def to_dict(self) -> dict[str, object]:
         """JSON-serializable form."""
@@ -228,7 +222,6 @@ class RestartEvent:
             "generation": self.generation,
             "reason": self.reason,
             "delay": round(self.delay, 6),
-            "backend": self.backend,
         }
 
 
@@ -239,9 +232,8 @@ class SupervisionReport:
     ``telemetry`` is the merged multi-process
     :class:`~repro.telemetry.TelemetryReport` (schema v2, one entry per
     coordinator/worker-incarnation) when the run was given a collecting
-    recorder; it travels alongside the report object — ``to_dict`` keeps
-    the v1 supervised-run schema unchanged, the CLI writes the telemetry
-    to its own ``--telemetry`` file.
+    recorder; it travels alongside the report object — ``to_dict`` leaves
+    it out, the CLI writes the telemetry to its own ``--telemetry`` file.
     """
 
     outcome: str  # "complete" | "degraded" | "failed"
@@ -250,11 +242,9 @@ class SupervisionReport:
     generations_completed: int
     num_workers: int
     backend: str
-    fallback_backend: str
     restarts: list[RestartEvent]
     watchdog_kills: int
     checkpoint_saves: dict[int, int]
-    breaker: dict[str, object] | None
     degraded_shards: list[dict[str, int]]
     wall_time_seconds: float
     telemetry: TelemetryReport | None = None
@@ -275,14 +265,12 @@ class SupervisionReport:
             "generations_completed": self.generations_completed,
             "num_workers": self.num_workers,
             "backend": self.backend,
-            "fallback_backend": self.fallback_backend,
             "restarts": [r.to_dict() for r in self.restarts],
             "num_restarts": len(self.restarts),
             "watchdog_kills": self.watchdog_kills,
             "checkpoint_saves": {
                 str(w): n for w, n in sorted(self.checkpoint_saves.items())
             },
-            "breaker": self.breaker,
             "degraded_shards": self.degraded_shards,
             "wall_time_seconds": round(self.wall_time_seconds, 3),
         }
@@ -291,9 +279,8 @@ class SupervisionReport:
 class _Handle:
     """Supervisor-side state for one worker slot."""
 
-    def __init__(self, shard: Shard, backend: str):
+    def __init__(self, shard: Shard):
         self.shard = shard
-        self.backend = backend
         self.proc: multiprocessing.process.BaseProcess | None = None
         self.conn = None
         self.status = "restart-pending"  # spawned by the main loop
@@ -323,11 +310,11 @@ class _Supervision:
     """One supervised run's event loop and bookkeeping.
 
     ``clock`` is the single monotonic time source for the watchdog,
-    restart backoff, the deadline, wall-time accounting, *and* the
-    circuit breaker — inject a :class:`~repro.telemetry.StepClock` and
-    every timeout in the run trips on virtual time.  ``recorder``
-    receives lifecycle events and heartbeat/restart counters; the
-    default null recorder makes that free.
+    restart backoff, the deadline and wall-time accounting — inject a
+    :class:`~repro.telemetry.StepClock` and every timeout in the run
+    trips on virtual time.  ``recorder`` receives lifecycle events and
+    heartbeat/restart counters; the default null recorder makes that
+    free.
     """
 
     def __init__(
@@ -345,7 +332,6 @@ class _Supervision:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self.ctx = multiprocessing.get_context(method)
         self.rng = np.random.default_rng(config.seed + 0x5EED)
-        self.breaker = CircuitBreaker(config.backend, clock=clock)
         init = (
             config.initial_state
             if config.initial_state is not None
@@ -357,7 +343,7 @@ class _Supervision:
                 f"{self.spec.rows}x{self.spec.cols} lattice"
             )
         self.initial = np.ascontiguousarray(init, dtype=np.uint8)
-        self.handles = [_Handle(s, config.backend) for s in self.shards]
+        self.handles = [_Handle(s) for s in self.shards]
         # Halo history: generation -> worker -> (top, bottom) boundary rows.
         self.boundaries: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
         self.last_boundary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -401,13 +387,12 @@ class _Supervision:
     def _spawn(self, h: _Handle) -> None:
         first = h.incarnation < 0
         h.incarnation += 1
-        h.backend = self.breaker.select_backend(self.barrier)
         shard = h.shard
         wc = WorkerConfig(
             worker=h.index,
             spec=self.spec,
             shard=shard,
-            backend=h.backend,
+            backend=self.config.backend,
             target_generation=self.config.generations,
             checkpoint_dir=str(self._worker_dir(h.index)),
             checkpoint_interval=self.config.checkpoint_interval,
@@ -442,7 +427,6 @@ class _Supervision:
             "supervisor.spawn",
             worker=h.index,
             incarnation=h.incarnation,
-            backend=h.backend,
             generation=self.barrier,
         )
 
@@ -471,7 +455,6 @@ class _Supervision:
             return
         self._kill(h)
         h.failures += 1
-        self.breaker.record_failure(h.backend, self.barrier)
         policy = self.config.backoff
         if (
             h.failures > policy.max_retries
@@ -488,7 +471,6 @@ class _Supervision:
             generation=self.barrier,
             reason=reason,
             delay=delay,
-            backend=h.backend,  # refreshed by the breaker at respawn
         )
         self.restarts.append(event)
         self.recorder.event("supervisor.restart", **asdict(event))
@@ -619,7 +601,6 @@ class _Supervision:
         elif kind == "checkpoint":
             self.checkpoint_saves[h.index] += 1
             h.failures = 0
-            self.breaker.record_success(h.backend, msg[1])
         elif kind == "done":
             h.status = "done"
             h.deadline = None
@@ -775,14 +756,6 @@ class _Supervision:
         finally:
             self._harvest_worker_telemetry()
             self._shutdown()
-        for t in self.breaker.transitions:
-            self.recorder.event(
-                "supervisor.breaker_transition",
-                backend=t.backend,
-                state=t.state,
-                generation=t.generation,
-                reason=t.reason,
-            )
         self.recorder.event(
             "supervisor.outcome",
             outcome=outcome,
@@ -798,15 +771,9 @@ class _Supervision:
             generations_completed=self.barrier,
             num_workers=self.config.num_workers,
             backend=self.config.backend,
-            fallback_backend=FALLBACK_BACKEND,
             restarts=self.restarts,
             watchdog_kills=self.watchdog_kills,
             checkpoint_saves=self.checkpoint_saves,
-            breaker=(
-                self.breaker.to_dict()
-                if self.config.backend != FALLBACK_BACKEND
-                else None
-            ),
             degraded_shards=self.degraded,
             wall_time_seconds=self.clock() - self.started,
         )
@@ -828,9 +795,11 @@ def supervised_run(
     :class:`~repro.lgca.automaton.LatticeGasAutomaton` evolution of the
     same spec, seed, and generation count.
 
+    Every worker and every restart runs ``config.backend``; a worker
+    that raises is restarted and replayed like one that died.
+
     ``clock`` is the run's only monotonic time source (watchdog,
-    backoff, deadline, breaker, wall time) — the same injectable the
-    breaker has always taken — so tests pass a
+    backoff, deadline, wall time), so tests pass a
     :class:`~repro.telemetry.StepClock` and drive every timeout on
     virtual time.  ``recorder`` collects worker lifecycle events and
     heartbeat counters; ``None`` means the zero-overhead null recorder.

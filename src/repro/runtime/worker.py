@@ -46,6 +46,7 @@ step, before ``done``: the worker dies with its final slab unsent.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -92,43 +93,37 @@ class InducedFault:
     kind:
         ``"crash"`` (hard ``os._exit`` — models OOM-kill / segfault),
         ``"stall"`` (sleep ``seconds`` — models a hang; the watchdog
-        must reap it), or ``"backend-error"`` (raise — models a kernel
-        bug surfacing on one backend).
-    backend:
-        Restrict firing to incarnations running this backend (``None``
-        fires on any) — with the circuit breaker this models a fault
-        that follows the *backend*, not the worker.
+        must reap it), or ``"error"`` (raise — models a kernel bug; the
+        worker reports it before it exits).
     incarnations:
         Fire only while ``incarnation < incarnations`` (default 1: the
         first life only, so the restarted worker survives).
     seconds:
-        Stall duration for ``kind="stall"``.
+        Stall duration for ``kind="stall"`` (finite).
     """
 
     worker: int
     generation: int
     kind: str
-    backend: str | None = None
     incarnations: int = 1
     seconds: float = 3600.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("crash", "stall", "backend-error"):
-            raise ConfigError(
-                f"kind={self.kind!r} must be crash, stall, or backend-error"
-            )
+        if self.kind not in ("crash", "stall", "error"):
+            raise ConfigError(f"kind={self.kind!r} must be crash, stall, or error")
         check_nonnegative(self.worker, "worker", integer=True)
         check_nonnegative(self.generation, "generation", integer=True)
         check_positive(self.incarnations, "incarnations", integer=True)
         check_positive(self.seconds, "seconds")
+        if not math.isfinite(self.seconds):
+            raise ConfigError(f"seconds={self.seconds!r} must be finite")
 
-    def armed(self, worker: int, generation: int, incarnation: int, backend: str) -> bool:
+    def armed(self, worker: int, generation: int, incarnation: int) -> bool:
         """Whether this fault fires for the given worker state."""
         return (
             self.worker == worker
             and self.generation == generation
             and incarnation < self.incarnations
-            and (self.backend is None or self.backend == backend)
         )
 
     def to_dict(self) -> dict[str, object]:
@@ -137,7 +132,6 @@ class InducedFault:
             "worker": self.worker,
             "generation": self.generation,
             "kind": self.kind,
-            "backend": self.backend,
             "incarnations": self.incarnations,
         }
 
@@ -170,16 +164,15 @@ class WorkerConfig:
 def _fire_induced(config: WorkerConfig, generation: int) -> None:
     """Inflict any armed induced fault for ``generation`` on ourselves."""
     for fault in config.induced:
-        if not fault.armed(config.worker, generation, config.incarnation, config.backend):
+        if not fault.armed(config.worker, generation, config.incarnation):
             continue
         if fault.kind == "crash":
             os._exit(EXIT_INDUCED_CRASH)
         if fault.kind == "stall":
             time.sleep(fault.seconds)
-        elif fault.kind == "backend-error":
+        elif fault.kind == "error":
             raise RuntimeError(
-                f"induced backend error on {config.backend!r} "
-                f"(worker {config.worker}, generation {generation})"
+                f"induced error (worker {config.worker}, generation {generation})"
             )
 
 
@@ -317,10 +310,11 @@ def worker_main(config: WorkerConfig, conn: Connection) -> None:
     """Process entry point: run the shard loop, report errors, exit.
 
     Any exception is reported as an ``("error", ...)`` message before a
-    hard exit, so the supervisor can distinguish a backend bug (restart
-    on the fallback backend) from a silent death (plain restart).  With
-    a spool configured, a last-gasp snapshot is attempted first so the
-    failing incarnation's telemetry survives it.
+    hard exit, so the supervisor's restart reason names the exception
+    instead of an exit code; either way the worker is restarted and
+    replayed on the same backend.  With a spool configured, a last-gasp
+    snapshot is attempted first so the failing incarnation's telemetry
+    survives it.
     """
     recorder: Recorder = NULL_RECORDER
     spool: SpoolWriter | None = None

@@ -4,8 +4,8 @@ These spawn real worker processes, so they keep lattices small and
 backoff delays short.  The headline assertions mirror the subsystem's
 acceptance criteria: a supervised run with a mid-run worker kill
 completes, restarts from checkpoint, and is bit-identical to the
-unsupervised evolution; the breaker demonstrably trips a failing
-backend over to the fallback.
+unsupervised evolution; a worker that raises is restarted on the same
+backend and replayed the same way.
 """
 
 import numpy as np
@@ -83,7 +83,7 @@ class TestCleanRun:
         _, report = supervised_run(config(spec))
         payload = report.to_dict()
         assert payload["schema"] == "repro-supervised-run"
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["generations_completed"] == GENS
         assert payload["num_restarts"] == 0
         assert payload["degraded_shards"] == []
@@ -119,7 +119,6 @@ class TestCheckpointRestart:
         )
         assert report.outcome == "complete"
         assert len(report.restarts) == 1
-        assert report.restarts[0].backend == "bitplane"
         assert np.array_equal(state, golden)
 
     def test_both_workers_killed_at_different_gens(self, spec, golden):
@@ -198,46 +197,22 @@ class TestCheckpointRestart:
             assert base * 0.9 <= event.delay <= min(base * 1.1, 0.3)
 
 
-class TestCircuitBreaker:
-    def test_persistent_backend_error_trips_to_fallback(self, spec, golden):
-        """Breaker acceptance test: N consecutive worker failures on the
-        bitplane backend open the breaker; respawns fall back to the
-        reference backend, the run completes, and the transition is in
-        the report."""
+class TestWorkerError:
+    def test_raising_bitplane_worker_restarts_bit_identically(self, spec, golden):
+        """A worker that raises reports the exception and is restarted
+        and replayed like one that died; the run keeps its one backend."""
         state, report = supervised_run(
             config(
                 spec,
                 backend="bitplane",
-                checkpoint_interval=64,  # failures stay consecutive
-                induced=(
-                    InducedFault(
-                        worker=0,
-                        generation=5,
-                        kind="backend-error",
-                        backend="bitplane",
-                        incarnations=99,
-                    ),
-                ),
+                induced=(InducedFault(worker=0, generation=5, kind="error"),),
             )
         )
         assert report.outcome == "complete"
         assert np.array_equal(state, golden)
-        assert report.breaker is not None
-        assert report.breaker["state"] == "open"
-        trips = report.breaker["transitions"]
-        assert trips and trips[0]["state"] == "open"
-        assert "consecutive failures" in trips[0]["reason"]
-        # The rescued incarnation ran the fallback backend.
-        assert report.restarts[-1].backend == "bitplane"
-
-    def test_clean_bitplane_run_keeps_breaker_closed(self, spec, golden):
-        state, report = supervised_run(
-            config(spec, backend="bitplane")
-        )
-        assert report.outcome == "complete"
-        assert report.breaker["state"] == "closed"
-        assert report.breaker["transitions"] == []
-        assert np.array_equal(state, golden)
+        [restart] = report.restarts
+        assert restart.worker == 0
+        assert "worker error: RuntimeError" in restart.reason
 
 
 class TestDegradation:

@@ -6,7 +6,7 @@ either ends bit-identical to the unsupervised evolution, degrades with
 exactly the unrecoverable shards frozen, or fails without a state.
 
 Hypothesis draws 1-3 workers, a backend, ``allow_degraded`` and up to
-three :class:`InducedFault` values (crash, stall or backend-error, on
+three :class:`InducedFault` values (crash, stall or error, on
 any worker, at any generation up to and including the last, for 1, 2
 or 99 incarnations).  With a per-worker budget of ``MAX_RETRIES``
 consecutive restarts, a worker is unrecoverable exactly when one of
@@ -57,7 +57,7 @@ def schedules(draw):
         InducedFault,
         worker=st.integers(0, workers - 1),
         generation=st.integers(0, GENS),
-        kind=st.sampled_from(("crash", "stall", "backend-error")),
+        kind=st.sampled_from(("crash", "stall", "error")),
         incarnations=st.sampled_from((1, 2, 99)),
     )
     return (

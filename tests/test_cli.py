@@ -478,6 +478,31 @@ class TestRun:
         args = ["run", "--supervised", "--induce", "kill:0@notanumber"]
         assert main(args) == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "kill:0@5:lives=x",
+            "kill:0@5:lives=2.5",
+            "stall:0@5:seconds=abc",
+            "stall:0@5:seconds=inf",
+        ],
+    )
+    def test_malformed_induce_value_is_usage_error(self, capsys, spec):
+        assert main(["run", "--supervised", "--induce", spec]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("repro run: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "spec", ["backend-error:0@3", "kill:0@3:backend=bitplane"]
+    )
+    def test_removed_backend_attributed_fault_is_usage_error(self, capsys, spec):
+        assert main(["run", "--supervised", "--induce", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: ")
+        assert err.count("\n") == 1
+
     def test_degraded_run_exits_3(self, capsys):
         args = [
             "run",
