@@ -1,13 +1,9 @@
 """Monitor overhead and campaign cost.
 
-The resilience subsystem's pitch is "detection is cheap".  The asserted
-configuration is :class:`FusedMonitor` — one light mass sweep per
-generation plus a periodic full histogram sweep — which keeps the
-single-event detection guarantee (any single bit flip moves total mass,
-and LGCA microdynamics never heal it) at under 10% of the step cost.
-The two-pass localizing configuration the recovery runner uses (per-row
-parity check + tag + full conservation sweep every generation) is
-reported alongside for transparency, without an assertion.
+The resilience subsystem's pitch is "detection is cheap".  The
+configuration the recovery runner uses (per-row parity check + tag +
+a full conservation sweep every generation) is reported without an
+assertion; the campaign tests assert its detection outcome.
 
 Methodology: overhead is the ratio of accumulated monitor time to
 accumulated step time *within one run* (best of several runs).  Timing
@@ -23,18 +19,12 @@ from repro.lgca.automaton import LatticeGasAutomaton
 from repro.lgca.fhp import FHPModel
 from repro.lgca.flows import uniform_random_state
 from repro.resilience.campaign import CampaignConfig, run_campaign
-from repro.resilience.monitors import (
-    ConservationMonitor,
-    FusedMonitor,
-    ParityMonitor,
-)
+from repro.resilience.monitors import ConservationMonitor, ParityMonitor
 from repro.telemetry import PERF_COUNTER
 from repro.util.tables import Table
 
 ROWS, COLS, GENS = 128, 128, 32
 REPEATS = 5
-#: Acceptance threshold: fused monitor time <= 10% of step time.
-MAX_OVERHEAD = 0.10
 
 
 def _make_auto() -> LatticeGasAutomaton:
@@ -43,26 +33,8 @@ def _make_auto() -> LatticeGasAutomaton:
     return LatticeGasAutomaton(model, state)
 
 
-def _fused_ratio() -> tuple[float, float, float]:
-    """One monitored run; returns (overhead, step us/gen, monitor us/gen)."""
-    auto = _make_auto()
-    monitor = FusedMonitor(auto.model)
-    monitor.arm(auto.state)
-    t_step = t_mon = 0.0
-    for _ in range(GENS):
-        start = PERF_COUNTER()
-        auto.step()
-        mid = PERF_COUNTER()
-        detections = monitor.observe(auto.state, auto.time)
-        end = PERF_COUNTER()
-        assert not detections
-        t_step += mid - start
-        t_mon += end - mid
-    return t_mon / t_step, t_step / GENS * 1e6, t_mon / GENS * 1e6
-
-
 def _two_pass_ratio() -> tuple[float, float, float]:
-    """Same measurement for the runner's localizing configuration."""
+    """One monitored run; returns (overhead, step us/gen, monitor us/gen)."""
     auto = _make_auto()
     parity = ParityMonitor()
     conservation = ConservationMonitor(auto.model)
@@ -83,26 +55,17 @@ def _two_pass_ratio() -> tuple[float, float, float]:
     return t_mon / t_step, t_step / GENS * 1e6, t_mon / GENS * 1e6
 
 
-def _best_ratio(fn) -> tuple[float, float, float]:
-    return min((fn() for _ in range(REPEATS)), key=lambda r: r[0])
-
-
-def test_monitor_overhead_under_10_percent(report):
-    fused = _best_ratio(_fused_ratio)
-    two_pass = _best_ratio(_two_pass_ratio)
+def test_monitor_overhead(report):
+    two_pass = min((_two_pass_ratio() for _ in range(REPEATS)), key=lambda r: r[0])
     table = Table(
         f"Monitor overhead ({ROWS}x{COLS}, {GENS} generations, "
         f"best of {REPEATS})",
         ["configuration", "step us/gen", "monitor us/gen", "overhead"],
     )
-    table.add_row("fused (asserted)", f"{fused[1]:.1f}", f"{fused[2]:.1f}", f"{fused[0]:+.1%}")
     table.add_row(
         "two-pass localizing", f"{two_pass[1]:.1f}", f"{two_pass[2]:.1f}", f"{two_pass[0]:+.1%}"
     )
     report(table)
-    assert fused[0] < MAX_OVERHEAD, (
-        f"fused monitoring overhead {fused[0]:.1%} exceeds {MAX_OVERHEAD:.0%}"
-    )
 
 
 @pytest.mark.parametrize("monitors", [True, False])

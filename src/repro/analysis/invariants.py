@@ -82,13 +82,13 @@ def check_table_exhaustive(
     *,
     expect_permutation: bool = True,
     expect_involution: bool = False,
-    atol: float = 1e-12,
 ) -> CheckResult:
     """Exhaustively verify one rule table over all ``2^C`` states.
 
-    Works on *raw* arrays — unlike
-    :class:`repro.lgca.collision.CollisionTable` construction, a
-    corrupted table yields a failed :class:`CheckResult` instead of an
+    Works on *raw* arrays and runs the same
+    :func:`~repro.lgca.collision.verify_conservation` that
+    :class:`~repro.lgca.collision.CollisionTable` construction runs, but
+    a corrupted table yields a failed :class:`CheckResult` instead of an
     exception, which is what a diagnostic harness needs.
 
     Parameters
@@ -105,46 +105,15 @@ def check_table_exhaustive(
     expect_involution:
         Also require ``table[table] == identity`` (two-body rules with
         fixed chirality are their own inverse).
-    atol:
-        Momentum tolerance (hex velocities are irrational).
     """
-    table = np.asarray(table)
-    velocities = np.asarray(velocities, dtype=np.float64)
-    num_channels = velocities.shape[0]
-    size = 1 << num_channels
-    if table.shape != (size,):
-        return CheckResult(
-            name,
-            False,
-            f"table shape {table.shape} != ({size},) for {num_channels} channels",
-        )
-    if table.min() < 0 or table.max() >= size:
-        return CheckResult(name, False, "table maps outside the state space")
+    from repro.lgca.collision import verify_conservation
 
-    states = np.arange(size, dtype=np.uint32)
-    out = table.astype(np.uint32)
-    mass_in = _popcounts(states, num_channels)
-    mass_out = _popcounts(out, num_channels)
-    bad = np.nonzero(mass_in != mass_out)[0]
-    if bad.size:
-        s = int(bad[0])
-        return CheckResult(
-            name,
-            False,
-            f"mass broken at state {s:#x}: {int(mass_in[s])} particles -> "
-            f"state {int(table[s]):#x} with {int(mass_out[s])}",
-        )
-    momenta = _state_momenta(velocities)
-    err = np.abs(momenta[states] - momenta[out]).max(axis=1)
-    bad = np.nonzero(err > atol)[0]
-    if bad.size:
-        s = int(bad[0])
-        return CheckResult(
-            name,
-            False,
-            f"momentum broken at state {s:#x}: p={momenta[s]} -> "
-            f"state {int(table[s]):#x} with p={momenta[int(table[s])]}",
-        )
+    try:
+        verify_conservation(table, velocities)
+    except ValueError as exc:  # includes ConservationError
+        return CheckResult(name, False, str(exc))
+    out = np.asarray(table).astype(np.int64)
+    size = out.size
     checked = ["mass", "momentum"]
     if expect_permutation:
         if np.unique(out).size != size:
@@ -153,31 +122,12 @@ def check_table_exhaustive(
             )
         checked.append("bijectivity")
     if expect_involution:
-        if not np.array_equal(out[out], states):
+        if not np.array_equal(out[out], np.arange(size)):
             return CheckResult(name, False, "table is not an involution")
         checked.append("involution")
     return CheckResult(
         name, True, f"{size}/{size} states conserve {' + '.join(checked)}"
     )
-
-
-def _popcounts(states: np.ndarray, num_channels: int) -> np.ndarray:
-    """Particle count of every state (bits set)."""
-    counts = np.zeros(states.shape, dtype=np.int64)
-    for bit in range(num_channels):
-        counts += (states >> np.uint32(bit)) & np.uint32(1)
-    return counts
-
-
-def _state_momenta(velocities: np.ndarray) -> np.ndarray:
-    """(2^C, d) net momentum of every state."""
-    num_channels, dim = velocities.shape
-    states = np.arange(1 << num_channels, dtype=np.uint32)
-    momenta = np.zeros((states.size, dim), dtype=np.float64)
-    for bit in range(num_channels):
-        occupied = ((states >> np.uint32(bit)) & np.uint32(1)).astype(np.float64)
-        momenta += occupied[:, None] * velocities[bit]
-    return momenta
 
 
 def check_hpp_table() -> list[CheckResult]:
@@ -238,7 +188,7 @@ def check_fhp_tables() -> list[CheckResult]:
 
 def check_ndim_tables(max_dimension: int = 4) -> list[CheckResult]:
     """d-dimensional HPP tables for d = 1 … ``max_dimension``."""
-    from repro.lgca.ndim import ndhpp_collision_table, ndhpp_velocities
+    from repro.lgca.ndim import ndhpp_collision_table
 
     results = []
     for d in range(1, max_dimension + 1):
@@ -247,7 +197,7 @@ def check_ndim_tables(max_dimension: int = 4) -> list[CheckResult]:
             check_table_exhaustive(
                 f"ndim/d={d}/conservation",
                 np.asarray(table.table),
-                ndhpp_velocities(d),
+                np.asarray(table.velocities),
                 # the axis-cycling scatter is an involution only for d <= 2
                 expect_involution=d <= 2,
             )

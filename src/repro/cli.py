@@ -691,6 +691,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
     from repro.lgca.automaton import LatticeGasAutomaton
+    from repro.lgca.observables import total_mass
     from repro.runtime import ModelSpec, SupervisorConfig, supervised_run
     from repro.util.backoff import BackoffPolicy
     from repro.util.tables import Table
@@ -728,7 +729,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         table.add_row("grid", f"{args.rows} x {args.cols} ({args.boundary})")
         table.add_row("generations", args.generations)
         table.add_row("backend", args.backend)
-        table.add_row("final particles", int(np.unpackbits(state).sum()))
+        table.add_row("final particles", total_mass(state, spec.num_channels))
         table.print()
         _write_telemetry(
             args,

@@ -24,7 +24,6 @@ __all__ = [
     "DesignCurve",
     "feasibility_corner",
     "sample_curve",
-    "registry_design_curves",
 ]
 
 
@@ -135,28 +134,3 @@ def best_integer_p(p_continuous: float) -> int:
     if p_continuous < 0:
         raise ValueError(f"p_continuous={p_continuous} must be non-negative")
     return int(np.floor(p_continuous + 1e-9))
-
-
-def registry_design_curves(
-    technology: object | None = None,
-) -> dict[str, list[DesignCurve]]:
-    """Design-plane constraint curves for every registered machine.
-
-    Enumerates the machine registry (``repro.machines``) and samples
-    each spec's design plane — the section 6.1 (L, P) figure for the
-    WSA, the section 6.2 (W, P) figure for the SPA.  Machines without a
-    free design plane (serial, WSA-E) are omitted.  One registry-driven
-    sweep replaces per-model ``design_curves`` calls at every plotting
-    and benchmarking site.
-    """
-    from repro import machines  # deferred: machines.catalog imports this module
-    from repro.core.technology import PAPER_TECHNOLOGY, ChipTechnology
-
-    tech = technology if technology is not None else PAPER_TECHNOLOGY
-    if not isinstance(tech, ChipTechnology):
-        raise TypeError(f"technology must be a ChipTechnology, got {type(tech)!r}")
-    return {
-        spec.name: spec.design_curves(tech)
-        for spec in machines.specs()
-        if spec.design_curves is not None
-    }

@@ -66,6 +66,7 @@ from repro.lgca.bitplane import BitplaneKernel, pack_state, unpack_state
 from repro.lgca.observables import (
     density_field,
     momentum_field,
+    channel_counts,
     total_mass,
     total_momentum,
     coarse_grain,
@@ -116,6 +117,7 @@ __all__ = [
     "unpack_state",
     "density_field",
     "momentum_field",
+    "channel_counts",
     "total_mass",
     "total_momentum",
     "coarse_grain",

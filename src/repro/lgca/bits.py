@@ -8,7 +8,8 @@ bits (obstacle, boundary).  The whole site state is ``D`` bits — the
 
 States are stored as small unsigned integers; fields of states are NumPy
 integer arrays.  This module provides the popcount/channel machinery the
-collision tables and observables are built from.
+collision tables and observables are built from, including the one
+per-state occupancy table every mass and momentum number derives from.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.util.validation import check_positive
 __all__ = [
     "popcount",
     "popcount_table",
+    "occupancy_table",
     "direction_count",
     "pack_channels",
     "unpack_channels",
@@ -30,6 +32,7 @@ __all__ = [
 ]
 
 _POPCOUNT_CACHE: dict[int, np.ndarray] = {}
+_OCCUPANCY_CACHE: dict[int, np.ndarray] = {}
 _BOUNCE_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -86,6 +89,26 @@ def popcount_table(num_bits: int) -> np.ndarray:
             table += ((values >> bit) & 1).astype(np.uint8)
         table.setflags(write=False)
         _POPCOUNT_CACHE[num_bits] = table
+    return table
+
+
+def occupancy_table(num_channels: int) -> np.ndarray:
+    """``(2^C, C)`` int64 table: row ``s`` is the 0/1 occupancy of state ``s``.
+
+    The conservation algebra of every dimension reads this one table:
+    per state, mass is a row sum and momentum is
+    ``occupancy_table(C) @ velocities``; per field, the channel counts
+    are the state histogram times the table.  Cached read-only.
+    """
+    table = _OCCUPANCY_CACHE.get(num_channels)
+    if table is None:
+        num_channels = check_positive(num_channels, "num_channels", integer=True)
+        if num_channels > 16:
+            raise ValueError(f"{num_channels} channels exceed the 16-bit state limit")
+        states = np.arange(1 << num_channels, dtype=np.int64)
+        table = (states[:, None] >> np.arange(num_channels)) & 1
+        table.setflags(write=False)
+        _OCCUPANCY_CACHE[num_channels] = table
     return table
 
 

@@ -12,11 +12,11 @@ silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.lgca.bits import popcount_table
+from repro.lgca.bits import occupancy_table
 from repro.util.validation import check_positive
 
 __all__ = ["CollisionTable", "ConservationError", "verify_conservation"]
@@ -26,15 +26,8 @@ class ConservationError(ValueError):
     """A collision table violates mass or momentum conservation."""
 
 
-def _momenta_per_state(velocities: np.ndarray) -> np.ndarray:
-    """(2^C, 2) array: net momentum of every state under ``velocities``."""
-    num_channels = velocities.shape[0]
-    states = np.arange(1 << num_channels, dtype=np.uint32)
-    momenta = np.zeros((states.size, 2), dtype=np.float64)
-    for bit in range(num_channels):
-        occupied = ((states >> bit) & 1).astype(np.float64)
-        momenta += occupied[:, None] * velocities[bit]
-    return momenta
+#: Momentum tolerance of the per-state check (hex velocities are irrational).
+_MOMENTUM_TOLERANCE = 1e-12
 
 
 def verify_conservation(
@@ -43,7 +36,6 @@ def verify_conservation(
     *,
     check_momentum: bool = True,
     ignore_mask: int = 0,
-    atol: float = 1e-12,
 ) -> None:
     """Check mass (and optionally momentum) conservation of a lookup table.
 
@@ -52,15 +44,13 @@ def verify_conservation(
     table:
         ``(2^C,)`` integer array mapping input state to output state.
     velocities:
-        ``(C, 2)`` per-channel velocity vectors; a rest particle has
-        velocity ``(0, 0)``.
+        ``(C, d)`` per-channel velocity vectors in any dimension ``d``;
+        a rest particle has the zero vector.
     check_momentum:
         FHP/HPP tables must conserve momentum; boundary/bounce-back
         tables conserve only mass, so callers may disable it.
     ignore_mask:
         Bits (e.g. an obstacle flag) excluded from the conservation sums.
-    atol:
-        Momentum tolerance (velocities may be irrational for hex lattices).
 
     Raises
     ------
@@ -68,8 +58,8 @@ def verify_conservation(
         naming the first offending state.
     """
     velocities = np.asarray(velocities, dtype=np.float64)
-    if velocities.ndim != 2 or velocities.shape[1] != 2:
-        raise ValueError("velocities must have shape (C, 2)")
+    if velocities.ndim != 2:
+        raise ValueError("velocities must have shape (C, d)")
     num_channels = velocities.shape[0]
     expected_size = 1 << num_channels
     table = np.asarray(table)
@@ -81,29 +71,29 @@ def verify_conservation(
     if table.min() < 0 or table.max() >= expected_size:
         raise ConservationError("table maps to states outside the channel space")
 
-    pc = popcount_table(num_channels)
-    keep = np.uint32(~ignore_mask & (expected_size - 1))
-    states = np.arange(expected_size, dtype=np.uint32)
-    mass_in = pc[states & keep]
-    mass_out = pc[table.astype(np.uint32) & keep]
-    bad = np.nonzero(mass_in != mass_out)[0]
+    keep = np.int64(~ignore_mask & (expected_size - 1))
+    states_in = np.arange(expected_size, dtype=np.int64) & keep
+    states_out = table.astype(np.int64) & keep
+    occupancy = occupancy_table(num_channels)
+    mass = occupancy.sum(axis=1)
+    bad = np.nonzero(mass[states_in] != mass[states_out])[0]
     if bad.size:
         s = int(bad[0])
         raise ConservationError(
-            f"mass not conserved: state {s:#x} ({int(mass_in[s])} particles) "
-            f"-> {int(table[s]):#x} ({int(mass_out[s])} particles)"
+            f"mass broken at state {s:#x}: {int(mass[states_in[s]])} particles "
+            f"-> state {int(table[s]):#x} with {int(mass[states_out[s]])}"
         )
     if check_momentum:
-        momenta = _momenta_per_state(velocities)
-        p_in = momenta[states & keep]
-        p_out = momenta[table.astype(np.uint32) & keep]
+        momenta = occupancy @ velocities
+        p_in = momenta[states_in]
+        p_out = momenta[states_out]
         err = np.abs(p_in - p_out).max(axis=1)
-        bad = np.nonzero(err > atol)[0]
+        bad = np.nonzero(err > _MOMENTUM_TOLERANCE)[0]
         if bad.size:
             s = int(bad[0])
             raise ConservationError(
-                f"momentum not conserved: state {s:#x} p={p_in[s]} -> "
-                f"{int(table[s]):#x} p={p_out[s]}"
+                f"momentum broken at state {s:#x}: p={p_in[s]} -> "
+                f"state {int(table[s]):#x} with p={p_out[s]}"
             )
 
 
@@ -124,7 +114,7 @@ class CollisionTable:
     table:
         ``(2^C,)`` uint16 lookup array.
     velocities:
-        ``(C, 2)`` channel velocity vectors.
+        ``(C, d)`` channel velocity vectors.
     conserves_momentum:
         Whether momentum conservation was verified (False for wall rules).
     """
@@ -134,18 +124,16 @@ class CollisionTable:
     velocities: np.ndarray
     conserves_momentum: bool = True
     ignore_mask: int = 0
-    _skip_verify: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         velocities = np.asarray(self.velocities, dtype=np.float64)
         table = np.asarray(self.table, dtype=np.uint16)
-        if not self._skip_verify:
-            verify_conservation(
-                table,
-                velocities,
-                check_momentum=self.conserves_momentum,
-                ignore_mask=self.ignore_mask,
-            )
+        verify_conservation(
+            table,
+            velocities,
+            check_momentum=self.conserves_momentum,
+            ignore_mask=self.ignore_mask,
+        )
         table = table.copy()
         table.setflags(write=False)
         velocities = velocities.copy()

@@ -26,6 +26,7 @@ import numpy as np
 from repro.lgca.automaton import SiteModel
 from repro.lgca.bits import unpack_channels
 from repro.lgca.flows import _biased_state, _drifted_probs
+from repro.lgca.observables import channel_counts, fhp_viscosity
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -47,9 +48,8 @@ def collision_rate(model: SiteModel, state: np.ndarray, t: int = 0) -> float:
 
 def channel_occupation(state: np.ndarray, num_channels: int) -> np.ndarray:
     """Mean occupation of each velocity channel, shape ``(C,)``."""
-    num_channels = check_positive(num_channels, "num_channels", integer=True)
-    channels = unpack_channels(np.asarray(state), num_channels)
-    return channels.reshape(num_channels, -1).mean(axis=1)
+    state = np.asarray(state)
+    return channel_counts(state, num_channels) / state.size
 
 
 @dataclass(frozen=True)
@@ -242,8 +242,6 @@ def measure_shear_viscosity(
     ss_res = float(((logy - fitted) ** 2).sum())
     ss_tot = float(((logy - logy.mean()) ** 2).sum()) or 1e-30
     nu = -slope / (k * k)
-
-    from repro.lgca.observables import fhp_viscosity
 
     rest = velocities.shape[0] == 7
     predicted = fhp_viscosity(density, rest_particles=rest)

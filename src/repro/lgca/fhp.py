@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.lattice.geometry import FHP_DIRECTIONS
-from repro.lgca.bits import pack_channels, unpack_channels
+from repro.lgca.bits import occupancy_table, pack_channels, unpack_channels
 from repro.lgca.collision import CollisionTable
 from repro.util.validation import check_nonnegative, check_positive
 
@@ -142,24 +142,20 @@ def fhp_saturated_tables() -> tuple[CollisionTable, CollisionTable]:
     conservation laws); benchmarks quote collision rates, not the exact
     microdynamics.
     """
-    momenta = np.zeros((128, 2), dtype=np.float64)
-    masses = np.zeros(128, dtype=np.int64)
-    for state in range(128):
-        for ch in range(6):
-            if (state >> ch) & 1:
-                momenta[state] += FHP_DIRECTIONS[ch]
-                masses[state] += 1
-        if state & _REST_BIT:
-            masses[state] += 1
-    # group states by (mass, rounded momentum)
-    classes: dict[tuple[int, int, int], list[int]] = {}
-    for state in range(128):
-        key = (
-            int(masses[state]),
-            int(round(momenta[state, 0] * 2)),  # momenta are multiples of 1/2
-            int(round(momenta[state, 1] / (math.sqrt(3) / 2))),
-        )
-        classes.setdefault(key, []).append(state)
+    occupancy = occupancy_table(7)
+    momenta = occupancy @ FHP7_VELOCITIES
+    # group states by (mass, momentum); momenta are multiples of 1/2 in
+    # x and of sqrt(3)/2 in y, so the scaled components are integers
+    keys = np.column_stack(
+        [
+            occupancy.sum(axis=1),
+            np.rint(momenta[:, 0] * 2),
+            np.rint(momenta[:, 1] / (math.sqrt(3) / 2)),
+        ]
+    ).astype(np.int64)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for state, key in enumerate(keys.tolist()):
+        classes.setdefault(tuple(key), []).append(state)
     left = np.arange(128, dtype=np.uint16)
     right = np.arange(128, dtype=np.uint16)
     for members in classes.values():

@@ -37,11 +37,10 @@ __all__ = ["NDHPPModel", "ndhpp_velocities", "ndhpp_collision_table"]
 
 
 def ndhpp_velocities(d: int) -> np.ndarray:
-    """(2d, 2→d) velocity vectors: ±unit vector per axis.
+    """(2d, d) velocity vectors: ±unit vector per axis.
 
-    Returned with ``d`` columns; the 2-column convention used by the
-    2-D models is the special case d = 2 (note the axis order: channel
-    2a is +axis a).
+    The 2-column convention used by the 2-D models is the special case
+    d = 2 (note the axis order: channel 2a is +axis a).
     """
     d = check_positive(d, "d", integer=True)
     out = np.zeros((2 * d, d), dtype=np.float64)
@@ -74,38 +73,12 @@ def ndhpp_collision_table(d: int) -> CollisionTable:
         for axis in range(d):
             state = _axis_pair_mask(axis)
             table[state] = _axis_pair_mask((axis + 1) % d)
-    velocities = ndhpp_velocities(d)
-    # CollisionTable verifies 2-component momentum; verify d components
-    # here by padding pairs of axes.
-    _verify_ndim_conservation(table, velocities)
-    # Construct with the first two velocity components (or zero-padded),
-    # skipping the built-in check we already superseded.
-    vel2 = np.zeros((2 * d, 2), dtype=np.float64)
-    vel2[:, : min(2, d)] = velocities[:, : min(2, d)]
     return CollisionTable(
         name=f"ndhpp-{d}d",
         table=table,
-        velocities=vel2,
+        velocities=ndhpp_velocities(d),
         conserves_momentum=True,
-        _skip_verify=True,
     )
-
-
-def _verify_ndim_conservation(table: np.ndarray, velocities: np.ndarray) -> None:
-    """Exhaustive d-component mass/momentum check."""
-    num_channels = velocities.shape[0]
-    states = np.arange(table.size, dtype=np.uint32)
-    occupancy = ((states[:, None] >> np.arange(num_channels)[None, :]) & 1).astype(
-        np.float64
-    )
-    mass_in = occupancy.sum(axis=1)
-    mass_out = occupancy[table].sum(axis=1)
-    if not np.array_equal(mass_in, mass_out):
-        raise AssertionError("ndhpp table violates mass conservation")
-    p_in = occupancy @ velocities
-    p_out = occupancy[table] @ velocities
-    if not np.allclose(p_in, p_out, atol=1e-12):
-        raise AssertionError("ndhpp table violates momentum conservation")
 
 
 @dataclass
@@ -136,7 +109,6 @@ class NDHPPModel:
         self.shape = shape
         self.boundary = boundary
         self._table = ndhpp_collision_table(len(shape))
-        self._velocities_full = ndhpp_velocities(len(shape))
 
     # -- metadata ---------------------------------------------------------------
 
@@ -158,8 +130,8 @@ class NDHPPModel:
 
     @property
     def velocities(self) -> np.ndarray:
-        """(2d, d) full-dimensional velocity vectors."""
-        return self._velocities_full.copy()
+        """(2d, d) velocity vectors (a copy of the collision table's)."""
+        return self._table.velocities.copy()
 
     @property
     def collision_table(self) -> CollisionTable:

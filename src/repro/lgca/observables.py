@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lgca.bits import popcount, unpack_channels
+from repro.lgca.bits import occupancy_table, popcount, unpack_channels
 from repro.util.validation import check_positive
 
 __all__ = [
     "density_field",
     "momentum_field",
+    "channel_counts",
     "total_mass",
     "total_momentum",
     "coarse_grain",
@@ -35,23 +36,36 @@ def density_field(state: np.ndarray, num_channels: int) -> np.ndarray:
 
 
 def momentum_field(state: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-    """Per-site momentum vectors, shape ``state.shape + (2,)``."""
+    """Per-site momentum vectors, shape ``state.shape + (d,)``."""
     velocities = np.asarray(velocities, dtype=np.float64)
     channels = unpack_channels(np.asarray(state), velocities.shape[0])
-    out = np.zeros(np.asarray(state).shape + (2,), dtype=np.float64)
+    out = np.zeros(np.asarray(state).shape + (velocities.shape[1],), dtype=np.float64)
     for ch in range(velocities.shape[0]):
         out += channels[ch][..., None] * velocities[ch]
     return out
 
 
+def channel_counts(state: np.ndarray, num_channels: int) -> np.ndarray:
+    """Exact int64 particle count of every channel, shape ``(C,)``.
+
+    The state histogram times :func:`~repro.lgca.bits.occupancy_table`:
+    one pass over the field, then O(2^C · C) work.  Mass and momentum of
+    the whole field are linear in these counts.
+    """
+    table = occupancy_table(num_channels)
+    histogram = np.bincount(np.asarray(state).ravel(), minlength=table.shape[0])
+    return histogram @ table
+
+
 def total_mass(state: np.ndarray, num_channels: int) -> int:
     """Total particle count — conserved exactly by collide and propagate."""
-    return int(density_field(state, num_channels).sum())
+    return int(channel_counts(state, num_channels).sum())
 
 
 def total_momentum(state: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-    """Total momentum vector — conserved on periodic lattices."""
-    return momentum_field(state, velocities).sum(axis=(0, 1))
+    """Total momentum ``(d,)`` vector — conserved on periodic lattices."""
+    velocities = np.asarray(velocities, dtype=np.float64)
+    return channel_counts(state, velocities.shape[0]) @ velocities
 
 
 def coarse_grain(field: np.ndarray, window: int) -> np.ndarray:

@@ -39,7 +39,6 @@ from repro.resilience.monitors import (
     BandwidthMonitor,
     ConservationMonitor,
     Detection,
-    FusedMonitor,
     ParityMonitor,
     TMRVoter,
     row_parity_tags,
@@ -76,7 +75,6 @@ __all__ = [
     "BandwidthMonitor",
     "ConservationMonitor",
     "Detection",
-    "FusedMonitor",
     "ParityMonitor",
     "TMRVoter",
     "row_parity_tags",

@@ -26,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.lgca.automaton import SiteModel
-from repro.telemetry import NULL_RECORDER, Recorder
+from repro.lgca.observables import channel_counts
 
 __all__ = [
     "Detection",
     "row_parity_tags",
     "ParityMonitor",
     "ConservationMonitor",
-    "FusedMonitor",
     "TMRVoter",
     "BandwidthMonitor",
 ]
@@ -75,8 +74,7 @@ def row_parity_tags(state: np.ndarray) -> np.ndarray:
     """Per-row integrity tags of a site-state frame.
 
     Tag = exact (uint64) sum of the row's site words — one vectorized
-    pass over the frame, the budget that keeps whole-frame monitoring
-    under the bench's 10% overhead ceiling.  Any change to a single
+    pass over the frame.  Any change to a single
     word shifts its row sum by a nonzero delta (site words are < 2^16,
     the sum cannot wrap), so every single-event corruption is caught
     and localized to its row; only a multi-word forgery with exactly
@@ -117,6 +115,11 @@ class ParityMonitor:
         ]
 
 
+#: Momentum drift tolerance: it only absorbs float roundoff in the
+#: hexagonal momentum components (channel counts are exact integers).
+_DRIFT_TOLERANCE = 1e-6
+
+
 class ConservationMonitor:
     """Flag mass/momentum drift of a periodic (closed) lattice gas.
 
@@ -127,7 +130,7 @@ class ConservationMonitor:
 
     name = "conservation"
 
-    def __init__(self, model: SiteModel, momentum_atol: float = 1e-6):
+    def __init__(self, model: SiteModel):
         boundary = getattr(model, "boundary", "periodic")
         if boundary != "periodic":
             raise ValueError(
@@ -135,28 +138,15 @@ class ConservationMonitor:
                 f"model has boundary={boundary!r}"
             )
         self.model = model
-        self.momentum_atol = momentum_atol
-        # Per-state-value lookup tables: both invariants come from one
-        # histogram of the 2^C possible site words, not from a per-site
-        # field — O(N) bincount + O(2^C) dot, ~50x cheaper than
-        # materializing a momentum field every generation.
-        num_states = 1 << model.num_channels
-        bits = (
-            np.arange(num_states)[:, None] >> np.arange(model.num_channels)
-        ) & 1
-        self._num_states = num_states
-        self._mass_lut = bits.sum(axis=1).astype(np.int64)
-        self._momentum_lut = bits.astype(np.float64) @ np.asarray(
-            model.velocities, dtype=np.float64
-        )
+        self._velocities = np.asarray(model.velocities, dtype=np.float64)
         self._mass: int | None = None
         self._momentum: np.ndarray | None = None
 
     def _invariants(self, state: np.ndarray) -> tuple[int, np.ndarray]:
-        counts = np.bincount(
-            np.asarray(state).ravel(), minlength=self._num_states
-        )
-        return int(counts @ self._mass_lut), counts @ self._momentum_lut
+        # Both invariants are linear in the exact per-channel counts:
+        # one histogram pass, no per-site momentum field.
+        counts = channel_counts(state, self.model.num_channels)
+        return int(counts.sum()), counts @ self._velocities
 
     def arm(self, state: np.ndarray) -> None:
         """Record the invariants of the initial (trusted) state."""
@@ -182,151 +172,16 @@ class ConservationMonitor:
                 )
             )
         drift = float(np.abs(momentum - self._momentum).max())
-        if drift > self.momentum_atol:
+        if drift > _DRIFT_TOLERANCE:
             detections.append(
                 Detection(
                     monitor=self.name,
                     generation=generation,
                     detail=f"momentum drift |dp|={drift:.3e} "
-                    f"exceeds {self.momentum_atol:.1e}",
+                    f"exceeds {_DRIFT_TOLERANCE:.1e}",
                 )
             )
         return detections
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Per-word particle counts; numpy's native popcount when present."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(words)
-    lut = np.array([bin(w).count("1") for w in range(256)], dtype=np.uint8)
-    return np.take(lut, words)
-
-
-class FusedMonitor:
-    """Hot-loop detector: light per-generation sweep, periodic full sweep.
-
-    The two-pass parity + conservation configuration costs two LUT
-    passes plus a histogram per generation — measurable against the
-    automaton's highly vectorized step.  This monitor keeps the same
-    detection guarantee at a fraction of the cost:
-
-    * every generation (:meth:`observe`): total mass via a single
-      popcount reduction — any single bit flip moves total mass by
-      exactly ±1 and reversible microdynamics never heal it, so every
-      single-event upset is still flagged within one generation — plus
-      fresh per-row word-sum tags so :meth:`check_at_rest` stays
-      available to callers that re-read frames from storage;
-    * every ``sweep_interval`` generations, a full histogram sweep also
-      compares exact momentum, catching mass-preserving word
-      substitutions (a particle moved between channels) within a
-      bounded window.
-
-    Emitted detections reuse the ``"parity"`` / ``"conservation"``
-    monitor names, so downstream classification is unchanged.
-
-    ``recorder`` (optional) measures the monitor itself: per-generation
-    check cost on the ``resilience.monitor.observe_seconds`` timer,
-    light/full sweep counters, and one ``resilience.detection`` event
-    per finding — the overhead numbers in ``docs/OBSERVABILITY.md``
-    come from these.  Detections are returned exactly as before either
-    way.
-    """
-
-    def __init__(
-        self,
-        model: SiteModel,
-        momentum_atol: float = 1e-6,
-        sweep_interval: int = 4,
-        recorder: Recorder | None = None,
-    ):
-        if sweep_interval < 1:
-            raise ValueError(f"sweep_interval={sweep_interval} must be >= 1")
-        # Shares the periodic-boundary requirement (and raises the same
-        # error) as the full monitor it embeds for the periodic sweep.
-        self._full = ConservationMonitor(model, momentum_atol=momentum_atol)
-        self.model = model
-        self.sweep_interval = sweep_interval
-        self._mass: int | None = None
-        self._tags: np.ndarray | None = None
-        self._since_sweep = 0
-        rec = recorder if recorder is not None else NULL_RECORDER
-        self._recorder = rec
-        self._clk = rec.clock
-        self._observe_timer = rec.timer("resilience.monitor.observe_seconds")
-        self._light_sweeps = rec.counter("resilience.monitor.light_sweeps")
-        self._full_sweeps = rec.counter("resilience.monitor.full_sweeps")
-        self._detections_c = rec.counter("resilience.monitor.detections")
-
-    def arm(self, state: np.ndarray) -> None:
-        """Record invariants and tags of the initial (trusted) state."""
-        self._full.arm(state)
-        self._mass = int(_popcount(np.asarray(state)).sum(dtype=np.int64))
-        self._tags = row_parity_tags(state)
-        self._since_sweep = 0
-
-    def rearm(self, state: np.ndarray) -> None:
-        """Re-record after a trusted restore (checkpoints)."""
-        self.arm(state)
-
-    def observe(self, state: np.ndarray, generation: int) -> list[Detection]:
-        """Post-step check: light mass sweep, periodic full sweep.
-
-        Also refreshes the per-row tags, so one call per generation
-        keeps :meth:`check_at_rest` usable between generations.
-        """
-        if self._mass is None:
-            return []
-        t_start = self._clk()
-        detections: list[Detection] = []
-        self._since_sweep += 1
-        if self._since_sweep >= self.sweep_interval:
-            self._since_sweep = 0
-            self._full_sweeps.add(1)
-            detections.extend(self._full.check(state, generation))
-        else:
-            self._light_sweeps.add(1)
-            mass = int(_popcount(np.asarray(state)).sum(dtype=np.int64))
-            if mass != self._mass:
-                detections.append(
-                    Detection(
-                        monitor="conservation",
-                        generation=generation,
-                        detail=f"mass drift: {self._mass} -> {mass} "
-                        f"({mass - self._mass:+d} particles)",
-                    )
-                )
-        self._tags = row_parity_tags(state)
-        self._observe_timer.record(self._clk() - t_start)
-        if detections:
-            self._detections_c.add(len(detections))
-            for d in detections:
-                self._recorder.event(
-                    "resilience.detection",
-                    monitor=d.monitor,
-                    generation=d.generation,
-                    detail=d.detail,
-                )
-        return detections
-
-    def check_at_rest(
-        self, state: np.ndarray, generation: int
-    ) -> list[Detection]:
-        """Verify a frame against the tags of the last observed state."""
-        if self._tags is None:
-            return []
-        tags = row_parity_tags(state)
-        bad = np.nonzero(tags != self._tags)[0]
-        if not bad.size:
-            return []
-        rows = tuple(int(r) for r in bad)
-        return [
-            Detection(
-                monitor="parity",
-                generation=generation,
-                detail=f"row parity mismatch in rows {list(rows)}",
-                rows=rows,
-            )
-        ]
 
 
 class TMRVoter:

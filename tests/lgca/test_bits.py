@@ -9,6 +9,7 @@ from repro.lgca.bits import (
     channel_bit,
     direction_count,
     has_particle,
+    occupancy_table,
     pack_channels,
     popcount,
     popcount_table,
@@ -44,6 +45,24 @@ class TestPopcount:
     @given(st.integers(0, 255))
     def test_matches_bin_count(self, state):
         assert popcount(state, 8) == bin(state).count("1")
+
+
+class TestOccupancyTable:
+    def test_rows_are_channel_bits(self):
+        t = occupancy_table(4)
+        assert t.shape == (16, 4) and t.dtype == np.int64
+        assert t[0b1010].tolist() == [0, 1, 0, 1]
+        assert np.array_equal(t.sum(axis=1), popcount_table(4))
+
+    def test_cached_and_readonly(self):
+        t = occupancy_table(6)
+        assert occupancy_table(6) is t
+        with pytest.raises(ValueError):
+            t[0, 0] = 1
+
+    def test_rejects_more_than_16_channels(self):
+        with pytest.raises(ValueError):
+            occupancy_table(17)
 
 
 class TestDirectionCount:

@@ -49,8 +49,11 @@ class TestVerifyConservation:
             verify_conservation(_id_table(3), HPP_VELOCITIES)
 
     def test_bad_velocity_shape(self):
-        with pytest.raises(ValueError, match=r"\(C, 2\)"):
-            verify_conservation(_id_table(2), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"\(C, d\)"):
+            verify_conservation(_id_table(2), np.zeros(2))
+
+    def test_any_dimension_accepted(self):
+        verify_conservation(_id_table(2), np.zeros((2, 3)))
 
     def test_ignore_mask_excludes_flag_bits(self):
         # 5-bit states: 4 velocity channels + 1 flag bit the rule toggles.

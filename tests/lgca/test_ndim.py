@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lgca.bits import popcount
+from repro.lgca.collision import CollisionTable, ConservationError
 from repro.lgca.ndim import NDHPPModel, ndhpp_collision_table, ndhpp_velocities
+from repro.lgca.observables import channel_counts, momentum_field, total_momentum
 
 
 def total_momentum_nd(state, velocities, num_channels):
@@ -164,3 +166,29 @@ class TestNDHPPModel:
         nd_out = nd.propagate(nd_state)
         hpp_out = hpp.propagate(hpp_state)
         assert np.argwhere(nd_out).tolist() == np.argwhere(hpp_out).tolist()
+
+
+class TestConservationInEveryDimension:
+    """The table and field checks keep all d momentum components."""
+
+    def test_table_keeps_full_velocities(self):
+        t = ndhpp_collision_table(3)
+        assert t.velocities.shape == (6, 3)
+        assert np.array_equal(t.velocities, NDHPPModel((4, 4, 4)).velocities)
+
+    def test_z_reversal_rejected(self):
+        table = np.arange(64, dtype=np.uint16)
+        table[1 << 4], table[1 << 5] = 1 << 5, 1 << 4  # lone +z <-> lone -z
+        with pytest.raises(ConservationError, match="momentum broken at state 0x10"):
+            CollisionTable(name="bad-z", table=table, velocities=ndhpp_velocities(3))
+
+    def test_field_momentum_is_conserved_3d(self, rng):
+        m = NDHPPModel((4, 5, 6))
+        s = rng.integers(0, 64, size=m.shape).astype(np.uint8)
+        p0 = total_momentum(s, m.velocities)
+        assert p0.shape == (3,)
+        assert np.array_equal(p0, channel_counts(s, 6) @ m.velocities)
+        assert np.allclose(momentum_field(s, m.velocities).sum(axis=(0, 1, 2)), p0)
+        for t in range(8):
+            s = m.step(s, t)
+        assert np.array_equal(total_momentum(s, m.velocities), p0)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.lgca.fhp import FHP_VELOCITIES, FHPModel
 from repro.lgca.observables import (
+    channel_counts,
     coarse_grain,
     density_field,
     fhp_viscosity,
@@ -45,6 +46,18 @@ class TestMomentumField:
         s = np.full((3, 3), 1 << 0, dtype=np.uint8)
         assert total_mass(s, 6) == 9
         assert np.allclose(total_momentum(s, FHP_VELOCITIES), [9.0, 0.0])
+
+    def test_channel_counts_exact(self, rng):
+        s = rng.integers(0, 64, size=(7, 9)).astype(np.uint8)
+        counts = channel_counts(s, 6)
+        assert counts.dtype == np.int64
+        expected = [int(((s >> ch) & 1).sum()) for ch in range(6)]
+        assert counts.tolist() == expected
+        assert total_mass(s, 6) == sum(expected)
+        assert np.allclose(
+            total_momentum(s, FHP_VELOCITIES),
+            momentum_field(s, FHP_VELOCITIES).sum(axis=(0, 1)),
+        )
 
 
 class TestCoarseGrain:

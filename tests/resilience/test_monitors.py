@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from repro.lgca.automaton import LatticeGasAutomaton
 from repro.lgca.fhp import FHPModel
 from repro.lgca.flows import uniform_random_state
+from repro.lgca.ndim import NDHPPModel
 from repro.resilience.monitors import (
     BandwidthMonitor,
     ConservationMonitor,
-    FusedMonitor,
     ParityMonitor,
     TMRVoter,
     row_parity_tags,
@@ -75,12 +75,32 @@ class TestParityMonitor:
         assert detections[0].rows == (5,)
         assert detections[0].monitor == "parity"
 
+    def test_at_rest_flip_localized_after_retag(self, model, state):
+        """Retagged every generation, clean frames pass and an at-rest
+        flip in the latest frame is localized to its row."""
+        monitor = ParityMonitor()
+        auto = LatticeGasAutomaton(model, state)
+        for _ in range(4):
+            auto.step()
+            monitor.tag(auto.state)
+            assert monitor.check(auto.state, auto.time) == []
+        bad = auto.state.copy()
+        bad[4, 1] ^= 1 << 3
+        detections = monitor.check(bad, auto.time)
+        assert len(detections) == 1
+        assert detections[0].rows == (4,)
+
 
 class TestConservationMonitor:
     def test_requires_periodic_boundary(self):
         null_model = FHPModel(ROWS, COLS, boundary="null")
         with pytest.raises(ValueError, match="periodic"):
             ConservationMonitor(null_model)
+
+    @pytest.mark.parametrize("boundary", ["null", "reflecting"])
+    def test_requires_periodic_boundary_3d(self, boundary):
+        with pytest.raises(ValueError, match="periodic"):
+            ConservationMonitor(NDHPPModel((4, 4, 4), boundary=boundary))
 
     def test_clean_evolution_never_flags(self, model, state):
         monitor = ConservationMonitor(model)
@@ -134,86 +154,65 @@ class TestConservationMonitor:
                     bad[r, c] ^= 1 << ch
                     assert monitor.check(bad, 1), (r, c, ch)
 
+    def test_silent_before_arming(self, model, state):
+        assert ConservationMonitor(model).check(state, 0) == []
 
-class TestFusedMonitor:
-    def test_requires_periodic_boundary(self):
-        null_model = FHPModel(ROWS, COLS, boundary="null")
-        with pytest.raises(ValueError, match="periodic"):
-            FusedMonitor(null_model)
-
-    def test_rejects_bad_sweep_interval(self, model):
-        with pytest.raises(ValueError, match="sweep_interval"):
-            FusedMonitor(model, sweep_interval=0)
-
-    def test_clean_evolution_never_flags(self, model, state):
-        monitor = FusedMonitor(model, sweep_interval=2)
+    def test_rearm_resets_baseline(self, model, state, rng):
+        monitor = ConservationMonitor(model)
         monitor.arm(state)
-        auto = LatticeGasAutomaton(model, state)
-        for _ in range(8):
-            auto.step()
-            assert monitor.observe(auto.state, auto.time) == []
-            assert monitor.check_at_rest(auto.state, auto.time) == []
+        other = uniform_random_state(ROWS, COLS, 6, 0.2, rng)
+        assert monitor.check(other, 1)  # different mass: flagged
+        monitor.rearm(other)
+        assert monitor.check(other, 2) == []
 
-    def test_silent_before_arming(self, state):
-        monitor = FusedMonitor(
-            FHPModel(ROWS, COLS, boundary="periodic", chirality="alternate")
-        )
-        assert monitor.observe(state, 0) == []
-        assert monitor.check_at_rest(state, 0) == []
-
-    def test_exhaustive_single_flips_flagged(self, model, state):
-        """The one-generation guarantee survives the light sweep: every
-        single flip moves total mass, which the per-generation popcount
-        check compares exactly."""
-        monitor = FusedMonitor(model)
-        monitor.arm(state)
-        auto = LatticeGasAutomaton(model, state)
-        auto.step()
-        base = auto.state.copy()
-        for r in range(ROWS):
-            for c in range(COLS):
-                for ch in range(6):
-                    bad = base.copy()
-                    bad[r, c] ^= 1 << ch
-                    fresh = FusedMonitor(model)
-                    fresh.arm(state)
-                    detections = fresh.observe(bad, 1)
-                    assert detections, (r, c, ch)
-                    assert detections[0].monitor == "conservation"
-
-    def test_mass_preserving_substitution_caught_by_sweep(self, model):
-        """A particle moved between channels keeps mass but not
-        momentum; the periodic full sweep bounds the detection latency
-        to sweep_interval generations."""
+    def test_mass_preserving_substitution_caught(self, model):
+        """A particle moved between channels keeps mass but not momentum."""
         state = np.zeros((ROWS, COLS), dtype=np.uint8)
         state[2, 3] = 0b000001
-        monitor = FusedMonitor(model, sweep_interval=3)
+        monitor = ConservationMonitor(model)
         monitor.arm(state)
         bad = state.copy()
         bad[2, 3] = 0b000010  # same popcount, different velocity
-        assert monitor.observe(bad, 1) == []  # light sweep: mass intact
-        assert monitor.observe(bad, 2) == []
-        detections = monitor.observe(bad, 3)  # full sweep generation
-        assert detections
+        detections = monitor.check(bad, 1)
+        assert len(detections) == 1
         assert "momentum" in detections[0].detail
 
-    def test_at_rest_flip_localized(self, model, state):
-        monitor = FusedMonitor(model)
+    def test_every_momentum_component_checked_3d(self):
+        """A +z particle turned -z keeps mass and the x/y momentum."""
+        model = NDHPPModel((4, 4, 4))
+        state = np.zeros(model.shape, dtype=np.uint8)
+        state[1, 2, 3] = 1 << 4  # +z
+        monitor = ConservationMonitor(model)
         monitor.arm(state)
         bad = state.copy()
-        bad[4, 1] ^= 1 << 3
-        detections = monitor.check_at_rest(bad, 1)
+        bad[1, 2, 3] = 1 << 5  # -z
+        detections = monitor.check(bad, 1)
         assert len(detections) == 1
-        assert detections[0].monitor == "parity"
-        assert detections[0].rows == (4,)
+        assert "momentum" in detections[0].detail
 
-    def test_rearm_resets_baseline(self, model, state, rng):
-        monitor = FusedMonitor(model)
+    def test_clean_evolution_never_flags_3d(self, rng):
+        model = NDHPPModel((4, 5, 6))
+        state = rng.integers(0, 64, size=model.shape).astype(np.uint8)
+        monitor = ConservationMonitor(model)
         monitor.arm(state)
-        other = uniform_random_state(ROWS, COLS, 6, 0.2, rng)
-        assert monitor.observe(other, 1)  # different mass: flagged
-        monitor.rearm(other)
-        assert monitor.observe(other, 2) == []
+        for t in range(8):
+            state = model.step(state, t)
+            assert monitor.check(state, t + 1) == []
+
+    def test_exhaustive_single_flips_3d(self, rng):
+        """Every single flip of a 3-D field moves mass by exactly one."""
+        model = NDHPPModel((4, 4, 4))
+        state = rng.integers(0, 64, size=model.shape).astype(np.uint8)
+        monitor = ConservationMonitor(model)
+        monitor.arm(state)
+        base = model.step(state, 0)
+        for site in np.ndindex(*model.shape):
+            for ch in range(6):
+                bad = base.copy()
+                bad[site] ^= 1 << ch
+                detections = monitor.check(bad, 1)
+                assert detections, (site, ch)
+                assert "mass drift" in detections[0].detail
 
 
 class TestTMRVoter:
