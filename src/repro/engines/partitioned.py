@@ -127,7 +127,7 @@ class PartitionedEngine(StreamingEngineCore):
             post_collide=post_collide,
             recorder=recorder,
         )
-        self._build_exchange_maps()
+        self._count_exchanges()
         self.failed_slices = tuple(sorted(set(failed_slices)))
         for s in self.failed_slices:
             if not 0 <= s < self.num_slices:
@@ -185,39 +185,65 @@ class PartitionedEngine(StreamingEngineCore):
 
     # -- exchange accounting ----------------------------------------------------
 
-    def _build_exchange_maps(self) -> None:
-        """Classify every (site, channel) gather by boundary crossing."""
+    def _count_exchanges(self) -> None:
+        """Side-channel bits per boundary, and per worst site, in closed form.
+
+        Whether a gather into ``(r, c)`` crosses a slice boundary depends
+        only on ``c`` and on the channel's column offset, which the source
+        row's parity selects; the gather exists unless the source row
+        falls outside the frame.  So one column vector per (channel,
+        parity) times the number of destination rows in that class gives
+        every count, in O(C·(rows + cols)) work.
+        """
         stencil = self.stage.rule.stencil
-        src, valid = stencil.gather_maps()
-        cols = self.model.cols
-        dst_col = np.arange(self.num_sites) % cols
-        dst_slice = dst_col // self.slice_width
+        rows, cols, width = self.model.rows, self.model.cols, self.slice_width
         n_boundaries = self.num_slices - 1
         leftward = np.zeros(max(n_boundaries, 1), dtype=np.int64)
         rightward = np.zeros(max(n_boundaries, 1), dtype=np.int64)
-        per_site_crossings = np.zeros(self.num_sites, dtype=np.int64)
+        dst_col = np.arange(cols)
+        dst_slice = dst_col // width
+        # Per destination row and channel: 0 if the source row is outside
+        # the frame, else 1 + the source row's parity.
+        row_classes = []
+        crossings: dict[tuple[int, int], np.ndarray] = {}
         for ch in range(stencil.num_moving_channels):
-            src_col = src[ch] % cols
-            src_slice = src_col // self.slice_width
-            crossing = valid[ch] & (src_slice != dst_slice)
-            # A gather whose source lies right of the destination slice is
-            # traffic *leftward* across the boundary dst_slice.
-            right_src = crossing & (src_slice == dst_slice + 1)
-            left_src = crossing & (src_slice == dst_slice - 1)
-            if np.any(crossing & ~right_src & ~left_src):
-                raise AssertionError(
-                    "stencil crosses more than one slice boundary; "
-                    f"slice_width={self.slice_width} too narrow for the stencil"
+            r_src = np.arange(rows) - stencil.row_offsets[ch]
+            inside = (r_src >= 0) & (r_src < rows)
+            row_class = np.where(inside, 1 + (r_src & 1), 0)
+            row_classes.append(row_class)
+            offsets = (stencil.col_offsets_even[ch], stencil.col_offsets_odd[ch])
+            for parity, dc in enumerate(offsets):
+                src_col = dst_col - dc
+                src_slice = src_col // width
+                valid = (src_col >= 0) & (src_col < cols)
+                crossing = valid & (src_slice != dst_slice)
+                # A gather whose source lies right of the destination slice
+                # is traffic *leftward* across boundary dst_slice.
+                right_src = crossing & (src_slice == dst_slice + 1)
+                left_src = crossing & (src_slice == dst_slice - 1)
+                gathers = int(np.count_nonzero(row_class == 1 + parity))
+                if gathers and np.any(crossing & ~right_src & ~left_src):
+                    raise AssertionError(
+                        "stencil crosses more than one slice boundary; "
+                        f"slice_width={width} too narrow for the stencil"
+                    )
+                crossings[ch, parity] = crossing
+                leftward[:n_boundaries] += gathers * np.bincount(
+                    dst_slice[right_src], minlength=n_boundaries
                 )
-            per_site_crossings += crossing
-            for b in range(n_boundaries):
-                leftward[b] += int(np.count_nonzero(right_src & (dst_slice == b)))
-                rightward[b] += int(
-                    np.count_nonzero(left_src & (dst_slice == b + 1))
+                rightward[:n_boundaries] += gathers * np.bincount(
+                    dst_slice[left_src] - 1, minlength=n_boundaries
                 )
+        worst = 0
+        for classes in np.unique(np.column_stack(row_classes), axis=0):
+            per_site = np.zeros(cols, dtype=np.int64)
+            for ch, cls in enumerate(classes):
+                if cls:
+                    per_site += crossings[ch, int(cls) - 1]
+            worst = max(worst, int(per_site.max(initial=0)))
         self._bits_leftward = leftward
         self._bits_rightward = rightward
-        self._max_site_crossings = int(per_site_crossings.max(initial=0))
+        self._max_site_crossings = worst
 
     def exchange_per_stage_pass(self) -> list[SliceExchangeRecord]:
         """Side-channel bits per boundary for one stage over one frame."""

@@ -26,6 +26,7 @@ from repro.lgca.fhp import (
     _COL_OFFSET_EVEN,
     _COL_OFFSET_ODD,
     _ROW_OFFSET,
+    _chiral_lookup,
 )
 from repro.lgca.hpp import HPPModel, HPP_OFFSETS
 from repro.util.validation import check_positive
@@ -108,31 +109,6 @@ class StreamStencil:
             return None
         return (r_src, c_src)
 
-    def gather_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized form: flat source index and validity per channel.
-
-        Returns ``(src, valid)`` of shapes ``(C, rows*cols)``; invalid
-        entries of ``src`` are clamped to 0 and masked by ``valid``.
-        """
-        n = self.rows * self.cols
-        src = np.zeros((self.num_moving_channels, n), dtype=np.int64)
-        valid = np.zeros((self.num_moving_channels, n), dtype=bool)
-        r = np.arange(n) // self.cols
-        c = np.arange(n) % self.cols
-        for ch in range(self.num_moving_channels):
-            r_src = r - self.row_offsets[ch]
-            in_rows = (r_src >= 0) & (r_src < self.rows)
-            parity = np.where(in_rows, r_src % 2, 0)
-            dc = np.where(
-                parity == 1, self.col_offsets_odd[ch], self.col_offsets_even[ch]
-            )
-            c_src = c - dc
-            ok = in_rows & (c_src >= 0) & (c_src < self.cols)
-            flat = np.where(ok, r_src * self.cols + c_src, 0)
-            src[ch] = flat
-            valid[ch] = ok
-        return src, valid
-
 
 @dataclass(frozen=True)
 class SiteUpdateRule:
@@ -147,20 +123,94 @@ class SiteUpdateRule:
     stencil:
         Stream-coordinate neighborhood.
     collide:
-        ``collide(states, r, c, t) -> states`` — vectorized collision
-        of site values at coordinates ``(r, c)`` and generation ``t``
-        (coordinates matter for FHP's alternating chirality).
+        ``collide(states, r, c, t, out=None) -> states`` — vectorized
+        collision of site values at coordinates ``(r, c)`` and generation
+        ``t`` (coordinates matter for FHP's alternating chirality).  With
+        ``out`` (same shape as ``states``, not aliasing it) and the same
+        read-only coordinate arrays every call, it collides without
+        allocating; see :class:`_TableCollide`.
     """
 
     name: str
     num_channels: int
     stencil: StreamStencil
-    collide: Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarray]
+    collide: Callable[..., np.ndarray]
 
     @property
     def bits_per_site(self) -> int:
         """D — site state width in bits."""
         return self.num_channels
+
+
+def _read_only(a: object) -> bool:
+    return isinstance(a, np.ndarray) and not a.flags.writeable
+
+
+class _TableCollide:
+    """A PE's collision: one lookup per site in a verified table.
+
+    ``lookup`` holds ``2^C`` entries (one chirality) or ``2·2^C`` (FHP's
+    two, see :func:`repro.lgca.fhp._chiral_lookup`); a site's index is
+    ``state | left << C``, where ``left`` is 0, 1, or for ``"alternate"``
+    the parity of ``r + c + t``.
+
+    Calls with ``out`` keep their platform-int index buffer (``np.take``
+    would copy any other index dtype to one first); calls without it
+    allocate.  The ``"alternate"`` offsets are cached per ``t % 2`` for
+    the latest *read-only* coordinate arrays, which are taken to be
+    constant: :meth:`repro.engines.streaming_core.PipelineStage.process`
+    passes its frame coordinates that way, so its collide allocates
+    nothing.
+    """
+
+    def __init__(self, lookup: np.ndarray, shift: int, chirality: str) -> None:
+        self._lookups = {lookup.dtype: lookup}
+        self._shift = shift
+        self._chirality = chirality
+        self._fixed = np.uint8((chirality == "left") << shift)
+        self._index = np.empty(0, dtype=np.intp)
+        self._coords: tuple[object, object] = (None, None)
+        self._offsets: dict[int, np.ndarray] = {}
+
+    def _lookup(self, dtype: np.dtype) -> np.ndarray:
+        lookup = self._lookups.get(dtype)
+        if lookup is None:
+            lookup = next(iter(self._lookups.values())).astype(dtype)
+            self._lookups[dtype] = lookup
+        return lookup
+
+    def _offset(self, r: np.ndarray, c: np.ndarray, t: int):
+        if self._chirality != "alternate":
+            return self._fixed
+        if not (_read_only(r) and _read_only(c)):
+            return ((np.asarray(r) + np.asarray(c) + t) & 1) << self._shift
+        if self._coords[0] is not r or self._coords[1] is not c:
+            self._coords = (r, c)
+            self._offsets = {}
+        offset = self._offsets.get(t % 2)
+        if offset is None:
+            offset = (((r + c + t) & 1) << self._shift).astype(np.uint8)
+            offset.setflags(write=False)
+            self._offsets[t % 2] = offset
+        return offset
+
+    def __call__(
+        self,
+        states: np.ndarray,
+        r: np.ndarray,
+        c: np.ndarray,
+        t: int,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        states = np.asarray(states)
+        offset = self._offset(r, c, t)
+        if out is None:
+            index = np.bitwise_or(states, offset, dtype=np.intp)
+            return np.take(self._lookup(states.dtype), index)
+        if self._index.shape != states.shape:
+            self._index = np.empty(states.shape, dtype=np.intp)
+        np.bitwise_or(states, offset, out=self._index)
+        return np.take(self._lookup(out.dtype), self._index, out=out, mode="clip")
 
 
 def _fhp_stream_stencil(rows: int, cols: int, rest: bool) -> StreamStencil:
@@ -201,23 +251,15 @@ def make_rule(model: FHPModel | HPPModel) -> SiteUpdateRule:
             )
         if model.chirality == "random":
             raise ValueError("streamed engines require deterministic chirality")
-        left, right = model.collision_tables
-        chirality = model.chirality
-
-        def collide(states, r, c, t):
-            states = np.asarray(states)
-            if chirality == "left":
-                return left(states)
-            if chirality == "right":
-                return right(states)
-            left_mask = ((np.asarray(r) + np.asarray(c) + t) % 2).astype(bool)
-            return np.where(left_mask, left(states), right(states)).astype(states.dtype)
-
         return SiteUpdateRule(
             name="fhp7" if model.rest_particles else "fhp6",
             num_channels=model.num_channels,
             stencil=_fhp_stream_stencil(model.rows, model.cols, model.rest_particles),
-            collide=collide,
+            collide=_TableCollide(
+                _chiral_lookup(*model.collision_tables),
+                model.num_channels,
+                model.chirality,
+            ),
         )
     if isinstance(model, HPPModel):
         if model.boundary != "null":
@@ -225,15 +267,13 @@ def make_rule(model: FHPModel | HPPModel) -> SiteUpdateRule:
                 "streamed engines implement null boundaries; "
                 f"model has boundary={model.boundary!r}"
             )
-        table = model.collision_table
-
-        def collide(states, r, c, t):  # noqa: ARG001 - uniform rule
-            return table(np.asarray(states))
-
         return SiteUpdateRule(
             name="hpp",
             num_channels=4,
             stencil=_hpp_stream_stencil(model.rows, model.cols),
-            collide=collide,
+            # One table half: the fixed "right" offset, 0, selects it.
+            collide=_TableCollide(
+                model.collision_table.table.astype(np.uint8), 4, "right"
+            ),
         )
     raise TypeError(f"no PE rule for model type {type(model).__name__}")

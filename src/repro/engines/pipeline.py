@@ -11,7 +11,7 @@ further external data".
 
 Two implementations of a stage:
 
-* :meth:`PipelineStage.process` — vectorized (NumPy gather), used by
+* :meth:`PipelineStage.process` — vectorized (NumPy slice shifts), used by
   benches.
 * :meth:`PipelineStage.process_tickwise` — a genuine tick-by-tick
   simulation through :class:`repro.engines.shiftreg.ShiftRegister` whose

@@ -33,6 +33,7 @@ import numpy as np
 from repro.engines.pe import PostCollideHook, SiteUpdateRule, make_rule
 from repro.engines.shiftreg import ShiftRegister
 from repro.engines.stats import EngineRunStats
+from repro.lattice.boundary import shift_plane_into
 from repro.lgca.automaton import SiteModel
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.hotpath import hot_path
@@ -58,15 +59,10 @@ class PipelineStage:
 
     def __post_init__(self) -> None:
         self._stencil = self.rule.stencil
-        self._src, self._valid = self._stencil.gather_maps()
         self._reach = self._stencil.window_reach()
-        rows, cols = self._stencil.rows, self._stencil.cols
-        n = rows * cols
-        self._r = (np.arange(n) // cols).astype(np.int64)
-        self._c = (np.arange(n) % cols).astype(np.int64)
-        # Working storage for the allocation-free vectorized stage;
-        # (re)allocated lazily when the stream geometry/dtype is first seen.
-        self._buf_key: tuple[int, np.dtype, np.dtype] | None = None
+        # Working storage for the allocation-free vectorized stage,
+        # allocated when the first stream (or a new dtype) is seen.
+        self._buf_dtype: np.dtype | None = None
         self._out_sel = 0
 
     @property
@@ -85,64 +81,86 @@ class PipelineStage:
         r: np.ndarray,
         c: np.ndarray,
         generation: int,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Collide site values and apply the stage's fault hook (if any)."""
-        collided = np.asarray(self.rule.collide(values, r, c, generation))
+        """Collide site values and apply the stage's fault hook (if any).
+
+        ``out`` is handed to the rule's ``collide`` (see
+        :class:`~repro.engines.pe.SiteUpdateRule`); a hook may still
+        return a fresh array.
+        """
+        collided = np.asarray(self.rule.collide(values, r, c, generation, out=out))
         if self.post_collide is not None:
             collided = np.asarray(self.post_collide(collided, r, c, generation))
         return collided
 
-    def _stream_buffers(
-        self, stream: np.ndarray, collided: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Working storage for :meth:`process`: (out, gather, bits).
+    def _stream_buffers(self, stream: np.ndarray) -> np.ndarray:
+        """Working storage for :meth:`process`; returns the output buffer.
 
-        Setup region: buffers are allocated only when the stream
-        geometry or dtype changes, never in steady-state stepping.  The
-        two ``out`` buffers alternate between calls so chained stages
+        Setup region: buffers are allocated only when the stream dtype
+        changes, never in steady-state stepping.  The frame coordinates
+        are read-only, so the rule may cache what it derives from them.
+        The two output buffers alternate between calls so chained stages
         (``stream = stage.process(stream, t)``) never write the array
         they are reading.
         """
-        n = stream.size
-        key = (n, stream.dtype, collided.dtype)
-        if self._buf_key != key:
+        if self._buf_dtype != stream.dtype:
+            rows, cols = self._stencil.rows, self._stencil.cols
+            n = rows * cols
+            self._r = np.repeat(np.arange(rows), cols)  # repro: alloc-ok
+            self._c = np.tile(np.arange(cols), rows)  # repro: alloc-ok
+            self._r.setflags(write=False)
+            self._c.setflags(write=False)
             self._out_pair = (  # repro: alloc-ok
                 np.empty(n, dtype=stream.dtype),  # repro: alloc-ok
                 np.empty(n, dtype=stream.dtype),  # repro: alloc-ok
             )
-            self._gather = np.empty(n, dtype=collided.dtype)  # repro: alloc-ok
-            self._bits = np.empty(n, dtype=stream.dtype)  # repro: alloc-ok
-            self._valid_i = self._valid.astype(stream.dtype)  # repro: alloc-ok
-            self._buf_key = key
+            self._collided = np.empty(n, dtype=stream.dtype)  # repro: alloc-ok
+            self._gather = np.empty((rows, cols), dtype=stream.dtype)  # repro: alloc-ok
+            self._shift_stage = np.empty((rows, cols), dtype=stream.dtype)  # repro: alloc-ok
+            self._buf_dtype = stream.dtype
             self._out_sel = 0
         out = self._out_pair[self._out_sel]
         self._out_sel = 1 - self._out_sel
-        return out, self._gather, self._bits
+        return out
 
     @hot_path
     def process(self, stream: np.ndarray, generation: int) -> np.ndarray:
         """Vectorized stage: one whole frame stream -> next generation.
 
-        Allocation-free in steady state: the result is a view of an
-        internal double buffer, valid until the next-but-one call —
-        callers that retain it must copy.
+        Each channel's gather is a slice shift of the collided frame
+        under null semantics
+        (:func:`repro.lattice.boundary.shift_plane_into`), masked to its
+        bit afterwards.  Allocation-free in steady state: the result is a
+        view of an internal double buffer, valid until the next-but-one
+        call — callers that retain it must copy.
         """
         stream = self._check_stream(stream)
-        collided = self.collide_sites(stream, self._r, self._c, generation)
-        out, gather, bits = self._stream_buffers(stream, collided)
+        out = self._stream_buffers(stream)
+        collided = self.collide_sites(
+            stream, self._r, self._c, generation, out=self._collided
+        )
+        stencil = self._stencil
+        frame = collided.reshape(stencil.rows, stencil.cols)
+        gather = self._gather
         dtype = stream.dtype
         out.fill(0)
-        for ch in range(self._stencil.num_moving_channels):
-            np.take(collided, self._src[ch], out=gather)
-            np.right_shift(gather, gather.dtype.type(ch), out=gather)
-            np.copyto(bits, gather, casting="unsafe")
-            np.bitwise_and(bits, self._valid_i[ch], out=bits)
-            np.left_shift(bits, dtype.type(ch), out=bits)
-            np.bitwise_or(out, bits, out=out)
-        for ch in self._stencil.self_channels:
-            np.copyto(bits, collided, casting="unsafe")
-            np.bitwise_and(bits, dtype.type(1 << ch), out=bits)
-            np.bitwise_or(out, bits, out=out)
+        out_frame = out.reshape(stencil.rows, stencil.cols)
+        for ch in range(stencil.num_moving_channels):
+            shift_plane_into(
+                frame,
+                gather,
+                stencil.row_offsets[ch],
+                stencil.col_offsets_even[ch],
+                stencil.col_offsets_odd[ch],
+                False,
+                self._shift_stage,
+            )
+            np.bitwise_and(gather, dtype.type(1 << ch), out=gather)
+            np.bitwise_or(out_frame, gather, out=out_frame)
+        for ch in stencil.self_channels:
+            np.bitwise_and(frame, dtype.type(1 << ch), out=gather, casting="unsafe")
+            np.bitwise_or(out_frame, gather, out=out_frame)
         return out
 
     def process_tickwise(

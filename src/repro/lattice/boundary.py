@@ -11,6 +11,11 @@ The interface is array-level: a boundary condition knows how to *pad* a
 2-D field and how to *resolve* an out-of-range site index.  Vectorized
 LGCA kernels use the padding route (``np.pad`` semantics); the pebbling
 computation-graph builder uses index resolution.
+
+:func:`shift_plane_into` is the propagation step itself under a periodic
+or null boundary: the HPP and FHP reference models and the engines' PE
+stage all move their channel planes with it, by slice copies, so no
+per-site index table is ever built.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = [
     "ReflectingBoundary",
     "TruncatedBoundary",
     "make_boundary",
+    "shift_plane_into",
 ]
 
 
@@ -142,3 +148,68 @@ def make_boundary(name: str, **kwargs) -> BoundaryCondition:
             f"unknown boundary {name!r}; choose from {sorted(_REGISTRY)}"
         ) from None
     return cls(**kwargs)
+
+
+def _shift_axis_into(
+    plane: np.ndarray, out: np.ndarray, d: int, axis: int, periodic: bool
+) -> None:
+    """``out`` = ``plane`` moved ``d`` cells along ``axis`` (0 rows, 1 columns)."""
+    n = plane.shape[axis]
+
+    def at(s: slice) -> tuple[slice, ...]:
+        return (slice(None), s) if axis else (s,)
+
+    if periodic:
+        d %= n
+    elif abs(d) >= n:
+        out[...] = 0
+        return
+    if d == 0:
+        out[...] = plane
+    elif d > 0:
+        out[at(slice(d, None))] = plane[at(slice(None, n - d))]
+        out[at(slice(None, d))] = plane[at(slice(n - d, None))] if periodic else 0
+    else:
+        out[at(slice(None, n + d))] = plane[at(slice(-d, None))]
+        out[at(slice(n + d, None))] = 0
+
+
+def shift_plane_into(
+    plane: np.ndarray,
+    out: np.ndarray,
+    dr: int,
+    dc_even: int,
+    dc_odd: int,
+    periodic: bool,
+    stage: np.ndarray | None = None,
+) -> None:
+    """Move every cell of a 2-D plane along one stencil offset, into ``out``.
+
+    Cell ``(r, c)`` lands on ``(r + dr, c + dc)``, where ``dc`` is
+    ``dc_even`` or ``dc_odd`` by the parity of the *source* row ``r``
+    (the hexagonal lattice's odd rows sit half a cell right; orthogonal
+    stencils pass equal offsets).  Periodic planes wrap both axes;
+    otherwise cells shifted off the plane vanish and vacated cells read
+    0 (null semantics).  Column shifts are row-local, so the even and odd
+    row interleaves (``plane[p::2]``) are column-shifted by their own
+    offsets first, into ``stage``, and the rows are moved after; ``stage``
+    (same shape as ``plane``) is needed only when both steps move cells.
+    Slice copies only: nothing is allocated.  ``out`` must not alias
+    ``plane`` or ``stage``.
+    """
+    if dc_even == dc_odd == 0:
+        _shift_axis_into(plane, out, dr, 0, periodic)
+        return
+    if dr == 0:
+        mid = out
+    elif stage is None:
+        raise ValueError("a shift along both axes needs a stage buffer")
+    else:
+        mid = stage
+    if dc_even == dc_odd:
+        _shift_axis_into(plane, mid, dc_even, 1, periodic)
+    else:
+        _shift_axis_into(plane[0::2], mid[0::2], dc_even, 1, periodic)
+        _shift_axis_into(plane[1::2], mid[1::2], dc_odd, 1, periodic)
+    if dr != 0:
+        _shift_axis_into(mid, out, dr, 0, periodic)

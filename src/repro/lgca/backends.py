@@ -127,6 +127,8 @@ class ReferenceStepper:
             nc: int = model.num_channels  # type: ignore[attr-defined]
             self._bounce = bounce_back_table(nc).astype(np.uint8)
             self._bounced = np.empty((rows, cols), dtype=np.uint8)
+            # np.take copies a non-intp index to intp on every call.
+            self._bounce_index = np.empty((rows, cols), dtype=np.intp)
         else:
             self._solid = None
         rec = recorder if recorder is not None else NULL_RECORDER
@@ -144,7 +146,8 @@ class ReferenceStepper:
         src, collided = self._src, self._collided
         self.model.collide(src, t, out=collided, check=False)  # type: ignore[attr-defined]
         if self._solid is not None:
-            np.take(self._bounce, src, out=self._bounced, mode="clip")  # clip: no out buffer
+            np.copyto(self._bounce_index, src)
+            np.take(self._bounce, self._bounce_index, out=self._bounced, mode="clip")
             np.copyto(collided, self._bounced, where=self._solid)
         self.model.propagate(collided, out=self._dst, check=False)  # type: ignore[attr-defined]
         self._src, self._dst = self._dst, src

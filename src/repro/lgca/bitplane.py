@@ -786,7 +786,7 @@ class BitplaneKernel:
 
         if self._kind == "fhp" and self.boundary == "reflecting":
             self._tgt_invalid = [pack_plane(m) for m in model._tgt_invalid]
-        if self._kind == "hpp":
+        if self._kind == "hpp" and self.boundary == "reflecting":
             first_col = np.zeros((rows, self.cols), dtype=np.uint8)
             first_col[:, 0] = 1
             last_col = np.zeros((rows, self.cols), dtype=np.uint8)

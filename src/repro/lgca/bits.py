@@ -174,19 +174,22 @@ def pack_channels(
         raise ValueError(f"{num_channels} channels exceed the 16-bit state limit")
     dtype = np.uint8 if num_channels <= 8 else np.uint16
     if out is None:
-        out = np.zeros(channels.shape[1:], dtype=dtype)
+        out = np.empty(channels.shape[1:], dtype=dtype)
     else:
         if out.shape != channels.shape[1:]:
             raise ValueError(f"out has shape {out.shape}, expected {channels.shape[1:]}")
-        dtype = out.dtype.type
-        out[...] = 0
-    for bit in range(num_channels):
+    for bit in range(num_channels if check else 0):
         plane = channels[bit]
-        if check and plane.dtype != np.bool_:
+        if plane.dtype != np.bool_:
             bad = (plane != 0) & (plane != 1)
             if np.any(bad):
                 raise ValueError(f"channel {bit} has values outside {{0, 1}}")
-        out |= (plane.astype(dtype, copy=False)) << dtype(bit)
+    # Horner from the top channel down: shift, then OR the next plane in,
+    # all in place, so a preallocated ``out`` means no temporaries.
+    out[...] = channels[-1]
+    for bit in range(num_channels - 2, -1, -1):
+        np.left_shift(out, 1, out=out)
+        np.bitwise_or(out, channels[bit], out=out, casting="unsafe")
     return out
 
 

@@ -174,11 +174,15 @@ class CollisionTable:
 
         The result preserves the input dtype (a ``uint8`` field stays
         ``uint8`` — no ``.astype`` copy needed by callers), and ``out``
-        accepts a preallocated result buffer of the same shape and dtype
-        for zero-allocation stepping.  ``out`` must not alias ``states``.
-        Indices are not bounds-checked on that path (``mode="clip"``):
-        numpy's default ``mode="raise"`` buffers the whole output in a
-        temporary, and the callers have validated the states.
+        accepts a preallocated result buffer of the same shape and dtype.
+        ``out`` must not alias ``states``.  Indices are not bounds-checked
+        on that path (``mode="clip"``): numpy's default ``mode="raise"``
+        buffers the whole output in a temporary, and the callers have
+        validated the states.  Even with ``out`` the call allocates:
+        ``np.take`` first copies any index array that is not platform-int
+        (``np.intp``) to one, 8 bytes per site for a ``uint8`` field.
+        Steady-state kernels therefore index through a preallocated
+        ``np.intp`` buffer themselves (:meth:`repro.lgca.fhp.FHPModel.collide`).
         """
         if np.isscalar(states):
             return int(self.table[int(states)])

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.lattice.boundary import shift_plane_into
 from repro.lattice.geometry import FHP_DIRECTIONS
 from repro.lgca.bits import occupancy_table, pack_channels, unpack_channels
 from repro.lgca.collision import CollisionTable
@@ -170,6 +171,17 @@ def fhp_saturated_tables() -> tuple[CollisionTable, CollisionTable]:
     )
 
 
+def _chiral_lookup(left: CollisionTable, right: CollisionTable) -> np.ndarray:
+    """Both chiralities as one uint8 table, indexed by ``state | left << C``.
+
+    One ``np.take`` then collides every site under any chirality mask:
+    entry ``s`` is ``right(s)`` and entry ``s | 1 << C`` is ``left(s)``.
+    """
+    lookup = np.concatenate([right.table, left.table]).astype(np.uint8)
+    lookup.setflags(write=False)
+    return lookup
+
+
 @dataclass
 class FHPModel:
     """Collision + propagation kernels for the FHP gas.
@@ -230,7 +242,9 @@ class FHPModel:
             self._left, self._right = fhp7_collision_tables()
         else:
             self._left, self._right = fhp6_collision_tables()
-        self._build_propagation_maps()
+        self._lookup = _chiral_lookup(self._left, self._right)
+        if self.boundary == "reflecting":
+            self._tgt_invalid = self._bounce_masks()
 
     # -- public metadata ----------------------------------------------------
 
@@ -298,29 +312,32 @@ class FHPModel:
         # "alternate": site-checkerboard XOR time parity.  Deterministic,
         # zero storage in hardware (one XOR of coordinate/time parities),
         # and unbiased over any two consecutive steps.
-        r = np.arange(self.rows)[:, None]
-        c = np.arange(self.cols)[None, :]
-        return ((r + c + t) % 2).astype(bool)
+        r = ((np.arange(self.rows) + t) & 1).astype(np.uint8)
+        c = (np.arange(self.cols) & 1).astype(np.uint8)
+        return np.bitwise_xor(r[:, None], c[None, :]).view(bool)
 
     # -- dynamics -----------------------------------------------------------
 
-    def _chirality_mask(self, t: int) -> np.ndarray:
-        """Like :meth:`chirality_field`, but cached for the deterministic
-        policies so steady-state stepping does not allocate.  Callers must
-        not mutate the result."""
+    def _chirality_offset(self, t: int) -> np.ndarray | np.uint8:
+        """``left << C`` per site at time ``t``: the chirality half of the
+        :func:`_chiral_lookup` index.  A scalar for the fixed policies;
+        cached per time parity for ``"alternate"``, so steady-state
+        stepping does not allocate.  Callers must not mutate the result."""
+        shift = self.num_channels
+        if self.chirality in ("left", "right"):
+            return np.uint8((self.chirality == "left") << shift)
         if self.chirality == "random":
-            return self.chirality_field(t)
-        cache = getattr(self, "_chirality_cache", None)
+            return np.left_shift(self.chirality_field(t).view(np.uint8), shift)
+        cache = getattr(self, "_offset_cache", None)
         if cache is None:
             cache = {}
-            self._chirality_cache: dict[int, np.ndarray] = cache
-        key = t % 2 if self.chirality == "alternate" else 0
-        mask = cache.get(key)
-        if mask is None:
-            mask = self.chirality_field(t)
-            mask.setflags(write=False)
-            cache[key] = mask
-        return mask
+            self._offset_cache: dict[int, np.ndarray] = cache
+        offset = cache.get(t % 2)
+        if offset is None:
+            offset = np.left_shift(self.chirality_field(t).view(np.uint8), shift)
+            offset.setflags(write=False)
+            cache[t % 2] = offset
+        return offset
 
     def collide(
         self,
@@ -332,20 +349,20 @@ class FHPModel:
     ) -> np.ndarray:
         """Apply FHP collisions with the configured chirality policy.
 
-        ``out`` (which must not alias ``state``) receives the result
-        without allocating; ``check=False`` skips input validation when
-        the caller has already validated.
+        One lookup in both chiralities' table (:func:`_chiral_lookup`),
+        indexed through a preallocated platform-int buffer, because
+        ``np.take`` copies any other index dtype to one first.  ``out``
+        (which must not alias ``state``) receives the result without
+        allocating; ``check=False`` skips input validation when the
+        caller has already validated.
         """
         if check:
             state = self.check_state(state)
-        left_mask = self._chirality_mask(t)
-        out_left = self._left(state, out=self._scratch("collide_left", state.dtype))
-        out_right = self._right(state, out=self._scratch("collide_right", state.dtype))
+        index = self._scratch("collide_index", np.intp)
+        np.bitwise_or(state, self._chirality_offset(t), out=index)
         if out is None:
-            out = np.empty_like(state)
-        np.copyto(out, out_right)
-        np.copyto(out, out_left, where=left_mask)
-        return out
+            out = np.empty(state.shape, dtype=np.uint8)
+        return np.take(self._lookup, index, out=out, mode="clip")
 
     def propagate(
         self,
@@ -366,16 +383,23 @@ class FHPModel:
             state, self.num_channels, out=self._scratch("ch_in", np.uint8)
         )
         planes = self._scratch("ch_out", np.uint8)
+        stage = self._scratch("stage", np.uint8)
+        periodic = self.boundary == "periodic"
         if self.rest_particles:
             np.copyto(planes[6], channels[6])  # rest particles stay put
         for ch in range(nmov):
-            np.take(
-                channels[ch].ravel(), self._src_flat_1d[ch], out=planes[ch].ravel()
+            # Reflecting walls shift with null semantics, then bounce.
+            shift_plane_into(
+                channels[ch],
+                planes[ch],
+                _ROW_OFFSET[ch],
+                _COL_OFFSET_EVEN[ch],
+                _COL_OFFSET_ODD[ch],
+                periodic,
+                stage,
             )
-            if self.boundary != "periodic":
-                planes[ch] &= self._dst_valid[ch]
         if self.boundary == "reflecting":
-            bounced = self._scratch("bounced", np.uint8)[0]
+            bounced = stage  # the shifts are done with it
             for ch in range(nmov):
                 opposite = (ch + 3) % 6
                 np.bitwise_and(channels[ch], self._tgt_invalid[ch], out=bounced)
@@ -401,66 +425,32 @@ class FHPModel:
         if buf is None:
             if key in ("ch_in", "ch_out"):
                 shape: tuple[int, ...] = (self.num_channels, self.rows, self.cols)
-            elif key == "bounced":
-                shape = (1, self.rows, self.cols)
             else:
                 shape = (self.rows, self.cols)
             buf = np.empty(shape, dtype=dt)
             buffers[(key, dt)] = buf
         return buf
 
-    # -- propagation index maps ----------------------------------------------
+    # -- walls ------------------------------------------------------------------
 
-    def _build_propagation_maps(self) -> None:
-        """Precompute flat gather indices per channel.
+    def _bounce_masks(self) -> np.ndarray:
+        """``(6, rows, cols)`` uint8: 1 where a channel's particle would
+        leave the grid, so a reflecting wall bounces it.
 
-        For destination site ``(r, c)`` of channel ``ch`` the source is
-        ``(r - dr, c - dc(parity of source row))``.  Periodic boundaries
-        wrap; otherwise invalid destinations are masked by
-        ``_dst_valid``.  ``_tgt_invalid`` marks *source* sites whose
-        forward target leaves the grid (used for bounce-back).
+        Only edge cells can be set: the first or last row for a row
+        offset, and the first or last column of each row interleave for
+        that interleave's column offset.
         """
-        rows, cols = self.rows, self.cols
-        r_dst = np.arange(rows)[:, None] * np.ones(cols, dtype=np.int64)[None, :]
-        c_dst = np.ones(rows, dtype=np.int64)[:, None] * np.arange(cols)[None, :]
-        r_dst = r_dst.astype(np.int64)
-        c_dst = c_dst.astype(np.int64)
-
-        self._src_flat: list[np.ndarray] = []
-        self._dst_valid: list[np.ndarray] = []
-        self._tgt_invalid: list[np.ndarray] = []
-        for ch in range(6):
+        masks = np.zeros((6, self.rows, self.cols), dtype=np.uint8)
+        for ch, mask in enumerate(masks):
             dr = _ROW_OFFSET[ch]
-            r_src = r_dst - dr
-            if self.boundary == "periodic":
-                r_src_wrapped = r_src % rows
-            else:
-                r_src_wrapped = np.clip(r_src, 0, rows - 1)
-            parity = r_src_wrapped % 2
-            dc = np.where(
-                parity == 0, _COL_OFFSET_EVEN[ch], _COL_OFFSET_ODD[ch]
-            ).astype(np.int64)
-            c_src = c_dst - dc
-            if self.boundary == "periodic":
-                c_src_wrapped = c_src % cols
-                valid = np.ones((rows, cols), dtype=np.uint8)
-            else:
-                valid = (
-                    (r_src >= 0) & (r_src < rows) & (c_src >= 0) & (c_src < cols)
-                ).astype(np.uint8)
-                c_src_wrapped = np.clip(c_src, 0, cols - 1)
-            flat = (r_src_wrapped * cols + c_src_wrapped).astype(np.int64)
-            self._src_flat.append(flat)
-            self._dst_valid.append(valid)
-
-            # Forward targets from the source side, for bounce-back.
-            src_parity = np.arange(rows)[:, None] % 2
-            fwd_dc = np.where(
-                src_parity == 0, _COL_OFFSET_EVEN[ch], _COL_OFFSET_ODD[ch]
-            )
-            r_tgt = np.arange(rows)[:, None] + dr + np.zeros(cols, dtype=np.int64)
-            c_tgt = np.arange(cols)[None, :] + fwd_dc
-            invalid = ~((r_tgt >= 0) & (r_tgt < rows) & (c_tgt >= 0) & (c_tgt < cols))
-            self._tgt_invalid.append(invalid.astype(np.uint8))
-        # Flat gather indices for np.take(..., out=...) in propagate().
-        self._src_flat_1d = [f.ravel() for f in self._src_flat]
+            if dr > 0:
+                mask[max(self.rows - dr, 0) :] = 1
+            elif dr < 0:
+                mask[:-dr] = 1
+            for parity, dc in ((0, _COL_OFFSET_EVEN[ch]), (1, _COL_OFFSET_ODD[ch])):
+                if dc > 0:
+                    mask[parity::2, max(self.cols - dc, 0) :] = 1
+                elif dc < 0:
+                    mask[parity::2, :-dc] = 1
+        return masks

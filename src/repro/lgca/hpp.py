@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.lattice.boundary import shift_plane_into
 from repro.lgca.bits import unpack_channels, pack_channels
 from repro.lgca.collision import CollisionTable
 from repro.util.validation import check_positive
@@ -90,6 +91,7 @@ class HPPModel:
                 f"boundary={self.boundary!r} must be periodic, null, or reflecting"
             )
         self._table = hpp_collision_table()
+        self._lookup = self._table.table.astype(np.uint8)
 
     # -- public metadata ----------------------------------------------------
 
@@ -135,14 +137,18 @@ class HPPModel:
         ``t`` is accepted for interface parity with
         :class:`repro.lgca.fhp.FHPModel`; HPP is deterministic.
         ``out`` (which must not alias ``state``) receives the result
-        without allocating; ``check=False`` skips input validation when
+        without allocating: the lookup index lives in a preallocated
+        platform-int buffer, because ``np.take`` copies any other index
+        dtype to one first.  ``check=False`` skips input validation when
         the caller has already validated (one ``step()`` validates once).
         """
         if check:
             state = self.check_state(state)
-        result = self._table(state, out=out)
-        assert isinstance(result, np.ndarray)
-        return result
+        index = self._scratch("index", np.intp)
+        np.copyto(index, state)
+        if out is None:
+            out = np.empty(state.shape, dtype=np.uint8)
+        return np.take(self._lookup, index, out=out, mode="clip")
 
     def propagate(
         self,
@@ -161,8 +167,10 @@ class HPPModel:
             state = self.check_state(state)
         ch_in = unpack_channels(state, 4, out=self._scratch("ch_in"))
         ch_out = self._scratch("ch_out")
+        periodic = self.boundary == "periodic"
         for bit, (dr, dc) in enumerate(HPP_OFFSETS):
-            _shift_plane_into(ch_in[bit], ch_out[bit], dr, dc, self.boundary)
+            # Reflecting walls shift with null semantics, then re-inject.
+            shift_plane_into(ch_in[bit], ch_out[bit], dr, dc, dc, periodic)
         if self.boundary == "reflecting":
             _reflect_edges_square(ch_in, ch_out)
         if out is None:
@@ -174,49 +182,19 @@ class HPPModel:
         state = self.check_state(state)
         return self.propagate(self.collide(state, t, check=False), check=False)
 
-    def _scratch(self, key: str) -> np.ndarray:
-        """Lazily allocated per-model channel-plane scratch buffers."""
+    def _scratch(self, key: str, dtype: type = np.uint8) -> np.ndarray:
+        """Lazily allocated per-model scratch: channel planes, or the
+        ``"index"`` site field."""
         buffers = getattr(self, "_scratch_buffers", None)
         if buffers is None:
             buffers = {}
             self._scratch_buffers: dict[str, np.ndarray] = buffers
         buf = buffers.get(key)
         if buf is None:
-            buf = np.empty((4, self.rows, self.cols), dtype=np.uint8)
+            planes = () if key == "index" else (4,)
+            buf = np.empty(planes + (self.rows, self.cols), dtype=dtype)
             buffers[key] = buf
         return buf
-
-
-def _shift_plane_into(
-    plane: np.ndarray, out: np.ndarray, dr: int, dc: int, boundary: str
-) -> None:
-    """Shift a 0/1 channel plane by (dr, dc) into ``out`` (no aliasing).
-
-    For ``"reflecting"`` the plane is shifted with null semantics; the
-    caller then re-injects reversed particles at the walls.  Implemented
-    with slice assignment so no temporaries are allocated.
-    """
-    if dr != 0 and dc != 0:
-        raise ValueError("only single-axis shifts are supported (HPP offsets)")
-    rows, cols = plane.shape
-    periodic = boundary == "periodic"
-    if not periodic:
-        out[...] = 0
-    src_r = slice(max(0, -dr), rows - max(0, dr))
-    dst_r = slice(max(0, dr), rows - max(0, -dr))
-    src_c = slice(max(0, -dc), cols - max(0, dc))
-    dst_c = slice(max(0, dc), cols - max(0, -dc))
-    out[dst_r, dst_c] = plane[src_r, src_c]
-    if periodic:
-        # Wrap the rows/columns the block copy above left out.
-        if dr > 0:
-            out[:dr, dst_c] = plane[rows - dr :, src_c]
-        elif dr < 0:
-            out[dr:, dst_c] = plane[:-dr, src_c]
-        if dc > 0:
-            out[:, :dc] = plane[:, cols - dc :]
-        elif dc < 0:
-            out[:, dc:] = plane[:, :-dc]
 
 
 def _reflect_edges_square(channels_in: np.ndarray, channels_out: np.ndarray) -> None:

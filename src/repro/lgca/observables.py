@@ -50,10 +50,13 @@ def channel_counts(state: np.ndarray, num_channels: int) -> np.ndarray:
 
     The state histogram times :func:`~repro.lgca.bits.occupancy_table`:
     one pass over the field, then O(2^C · C) work.  Mass and momentum of
-    the whole field are linear in these counts.
+    the whole field are linear in these counts.  Raises ``ValueError``
+    if a site has a bit set above its ``C`` channels.
     """
     table = occupancy_table(num_channels)
     histogram = np.bincount(np.asarray(state).ravel(), minlength=table.shape[0])
+    if histogram.size > table.shape[0]:
+        raise ValueError(f"state values must fit in {num_channels} bits")
     return histogram @ table
 
 

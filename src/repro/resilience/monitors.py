@@ -161,7 +161,22 @@ class ConservationMonitor:
         if self._mass is None or self._momentum is None:
             return []
         detections = []
-        mass, momentum = self._invariants(state)
+        try:
+            mass, momentum = self._invariants(state)
+        except ValueError:
+            # A site word with bits above its channels (a memory upset
+            # outside the conserved bits) has no mass or momentum to sum.
+            channels = self.model.num_channels
+            stray = int(np.count_nonzero(np.asarray(state) >> channels))
+            if not stray:
+                raise
+            return [
+                Detection(
+                    monitor=self.name,
+                    generation=generation,
+                    detail=f"{stray} sites have bits set above channel {channels - 1}",
+                )
+            ]
         if mass != self._mass:
             detections.append(
                 Detection(

@@ -44,19 +44,6 @@ class TestStreamStencil:
         st = self._hex()
         assert st.source_index(0, 0, 0) is None  # left edge, +x source off-grid
 
-    def test_gather_maps_match_source_index(self):
-        st = self._hex(4, 5)
-        src, valid = st.gather_maps()
-        for flat in range(20):
-            r, c = divmod(flat, 5)
-            for ch in range(6):
-                expected = st.source_index(r, c, ch)
-                if expected is None:
-                    assert not valid[ch, flat]
-                else:
-                    assert valid[ch, flat]
-                    assert src[ch, flat] == expected[0] * 5 + expected[1]
-
     def test_validates_offsets(self):
         with pytest.raises(ValueError, match="equal length"):
             StreamStencil(2, 2, (0,), (1, 2), (1,))
@@ -104,6 +91,18 @@ class TestMakeRule:
         got = rule.collide(frame.ravel(), r, c, 5)
         expected = m.collide(frame, 5)
         assert np.array_equal(np.asarray(got).reshape(6, 8), expected)
+
+    def test_collide_into_out_follows_writable_coordinates(self):
+        """Only read-only coordinates may have their chirality cached."""
+        rule = make_rule(FHPModel(4, 4, boundary="null"))
+        states = np.full(2, 0b001001, dtype=np.uint8)  # head-on pair
+        r = np.zeros(2, dtype=np.int64)
+        c = np.array([0, 1])
+        out = np.empty(2, dtype=np.uint8)
+        first = rule.collide(states, r, c, 0, out=out).copy()
+        assert first[0] != first[1]  # the two chiralities differ
+        c[:] = [1, 0]
+        assert rule.collide(states, r, c, 0, out=out).tolist() == first[::-1].tolist()
 
     def test_hpp_collide_ignores_time(self):
         m = HPPModel(4, 4, boundary="null")

@@ -59,6 +59,14 @@ class TestMomentumField:
             momentum_field(s, FHP_VELOCITIES).sum(axis=(0, 1)),
         )
 
+    def test_channel_counts_rejects_bits_above_the_channels(self):
+        s = np.zeros((8, 8), dtype=np.uint8)
+        s[3, 4] = 0x40  # bit 6 in a 6-channel frame
+        with pytest.raises(ValueError, match="fit in 6 bits"):
+            channel_counts(s, 6)
+        with pytest.raises(ValueError, match="fit in 6 bits"):
+            total_mass(s, 6)
+
 
 class TestCoarseGrain:
     def test_scalar_field(self):

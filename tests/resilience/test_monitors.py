@@ -177,6 +177,18 @@ class TestConservationMonitor:
         assert len(detections) == 1
         assert "momentum" in detections[0].detail
 
+    def test_bits_above_the_channels_are_a_detection(self, model, state):
+        """A site word with a bit above channel C is reported, not raised."""
+        monitor = ConservationMonitor(model)
+        monitor.arm(state)
+        bad = state.copy()
+        bad[3, 4] = 0x40  # bit 6 of an FHP-6 frame
+        bad[5, 1] |= 0x80
+        detections = monitor.check(bad, 4)
+        assert len(detections) == 1
+        assert detections[0].generation == 4
+        assert detections[0].detail == "2 sites have bits set above channel 5"
+
     def test_every_momentum_component_checked_3d(self):
         """A +z particle turned -z keeps mass and the x/y momentum."""
         model = NDHPPModel((4, 4, 4))
