@@ -8,10 +8,6 @@ obey the legality rules (§7).  This package enforces them at two layers:
 * :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — an
   AST-based lint engine with repo-specific design rules (``RPR001`` …),
   run as ``repro lint``;
-* :mod:`repro.analysis.dataflow` — the CFG / reaching-definitions /
-  project-graph layer underneath the ``RPR101``/``RPR102``/``RPR110``
-  hot-path and buffer-hazard rules, with the burn-down baseline in
-  :mod:`repro.analysis.baseline` backing ``repro lint --strict``;
 * :mod:`repro.analysis.sanitizer` + :mod:`repro.analysis.invariants` —
   a runtime harness that exhaustively verifies collision tables,
   replays pebbling schedules through the legality-checking game, and
@@ -21,14 +17,6 @@ obey the legality rules (§7).  This package enforces them at two layers:
 See ``docs/LINT_RULES.md`` for the rule catalog.
 """
 
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    baseline_from_diagnostics,
-    load_baseline,
-    save_baseline,
-)
-from repro.analysis.dataflow import ProjectGraph
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.engine import LintEngine, LintReport, lint_paths
 from repro.analysis.invariants import CheckResult
@@ -40,12 +28,6 @@ __all__ = [
     "LintEngine",
     "LintReport",
     "lint_paths",
-    "Baseline",
-    "BaselineEntry",
-    "baseline_from_diagnostics",
-    "load_baseline",
-    "save_baseline",
-    "ProjectGraph",
     "CheckResult",
     "available_checks",
     "run_checks",

@@ -1,13 +1,11 @@
 """The lint engine: file discovery, parsing, rule dispatch, reporting.
 
 The engine is deliberately small: it finds Python files, parses each
-one once, builds the cross-file :class:`ProjectGraph` so rules can see
-facts defined in other modules, hands each AST to every applicable
-rule, filters inline ``# repro: noqa`` suppressions, and aggregates the
-findings into a :class:`LintReport` with stable text and JSON
-renderings.  Unparseable files produce an ``RPR000`` diagnostic rather
-than crashing the run, so one broken fixture cannot hide findings in
-the rest of the tree.
+one once, hands each AST to every applicable rule, filters inline
+``# repro: noqa`` suppressions, and aggregates the findings into a
+:class:`LintReport` with stable text and JSON renderings.  Unparseable
+files produce an ``RPR000`` diagnostic rather than crashing the run,
+so one broken fixture cannot hide findings in the rest of the tree.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.dataflow.project import ProjectGraph
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.rules import ALL_RULES, ModuleUnderCheck, Rule
 
@@ -42,7 +39,7 @@ _SKIP_DIRS = {
 #: Directory suffixes never descended into (``<pkg>.egg-info`` trees).
 _SKIP_SUFFIXES = (".egg-info",)
 
-#: ``# repro: noqa`` or ``# repro: noqa[RPR001,RPR110]`` on the finding's line.
+#: ``# repro: noqa`` or ``# repro: noqa[RPR001,RPR103]`` on the finding's line.
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9,\s]*)\])?")
 
 
@@ -196,14 +193,9 @@ class LintEngine:
     ----------
     rules:
         The rules to apply (default: every registered rule).
-    project_cache:
-        Optional path for the digest-keyed project-graph cache; reused
-        when every source digest matches, rebuilt and rewritten
-        otherwise.
     """
 
     rules: Sequence[Rule] = field(default_factory=lambda: ALL_RULES)
-    project_cache: Path | None = None
 
     def _parse(
         self, source: str, path: str
@@ -230,8 +222,7 @@ class LintEngine:
     def lint_source(self, source: str, path: str) -> list[Diagnostic]:
         """Lint source text under a display path (used by tests/fixtures).
 
-        Single-file entry point: no project graph, and inline ``noqa``
-        suppressions are applied without being counted.
+        Inline ``noqa`` suppressions are applied without being counted.
         """
         tree, parse_error = self._parse(source, path)
         if tree is None:
@@ -248,36 +239,18 @@ class LintEngine:
         return self.lint_source(source, str(path))
 
     def lint_paths(self, paths: Iterable[str | Path]) -> LintReport:
-        """Lint files and directories; returns the aggregated report.
-
-        All files are parsed first so the cross-file project graph can
-        be built (and cached when :attr:`project_cache` is set) before
-        any rule runs; rules then see each module with
-        ``module.project`` populated.
-        """
+        """Lint files and directories; returns the aggregated report."""
         files = iter_python_files(paths)
-        parsed: list[tuple[Path, str, ast.Module]] = []
         diagnostics: list[Diagnostic] = []
+        suppressed = 0
         for file_path in files:
             source = file_path.read_text(encoding="utf-8")
             tree, parse_error = self._parse(source, str(file_path))
             if tree is None:
                 assert parse_error is not None
                 diagnostics.append(parse_error)
-            else:
-                parsed.append((file_path, source, tree))
-        graph_items = [
-            (str(path), source, tree) for path, source, tree in parsed
-        ]
-        if self.project_cache is not None:
-            project = ProjectGraph.load_or_build(self.project_cache, graph_items)
-        else:
-            project = ProjectGraph.from_sources(graph_items)
-        suppressed = 0
-        for file_path, source, tree in parsed:
-            module = ModuleUnderCheck(
-                path=str(file_path), source=source, tree=tree, project=project
-            )
+                continue
+            module = ModuleUnderCheck(path=str(file_path), source=source, tree=tree)
             kept, dropped = _apply_noqa(self._check_module(module), source)
             diagnostics.extend(kept)
             suppressed += dropped
@@ -293,11 +266,8 @@ def lint_paths(
     paths: Iterable[str | Path],
     select: list[str] | None = None,
     ignore: list[str] | None = None,
-    project_cache: Path | None = None,
 ) -> LintReport:
     """One-call convenience: lint ``paths`` with an optional rule subset."""
     from repro.analysis.rules import get_rules
 
-    return LintEngine(
-        rules=get_rules(select, ignore), project_cache=project_cache
-    ).lint_paths(paths)
+    return LintEngine(rules=get_rules(select, ignore)).lint_paths(paths)

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 from repro.analysis.rules.annotations import PublicAPIAnnotationRule
 from repro.analysis.rules.base import ModuleUnderCheck, Rule
-from repro.analysis.rules.bufferhazard import BufferHazardRule
 from repro.analysis.rules.clocks import RawClockRule
 from repro.analysis.rules.defaults import MutableDefaultRule
 from repro.analysis.rules.dtypes import ExplicitDtypeRule
 from repro.analysis.rules.excepts import BareExceptRule
 from repro.analysis.rules.exports import DunderAllRule
 from repro.analysis.rules.floats import FloatEqualityRule
-from repro.analysis.rules.hotpath import HotPathAllocationRule, HotPathPurityRule
 
 __all__ = [
     "Rule",
@@ -27,18 +25,14 @@ __all__ = [
     "ExplicitDtypeRule",
     "BareExceptRule",
     "DunderAllRule",
-    "HotPathAllocationRule",
-    "HotPathPurityRule",
     "RawClockRule",
-    "BufferHazardRule",
     "ALL_RULES",
     "get_rules",
 ]
 
 #: One instance of every rule, in id order.  Ids are unique and sorted
-#: but intentionally non-contiguous: the 1xx block holds the dataflow
-#: rule families (101/102 hot-path discipline, 103 clock discipline,
-#: 110 buffer hazards).
+#: but not contiguous: retired ids (RPR101, RPR102, RPR110) are not
+#: reused, so an old ``noqa`` or ``--select`` never names a new rule.
 ALL_RULES: tuple[Rule, ...] = (
     MutableDefaultRule(),
     FloatEqualityRule(),
@@ -46,10 +40,7 @@ ALL_RULES: tuple[Rule, ...] = (
     ExplicitDtypeRule(),
     BareExceptRule(),
     DunderAllRule(),
-    HotPathAllocationRule(),
-    HotPathPurityRule(),
     RawClockRule(),
-    BufferHazardRule(),
 )
 
 

@@ -13,12 +13,9 @@ import ast
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import PurePath
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.dataflow.project import ProjectGraph
 
 __all__ = ["ModuleUnderCheck", "Rule"]
 
@@ -35,16 +32,11 @@ class ModuleUnderCheck:
         Raw file text.
     tree:
         The parsed :class:`ast.Module`.
-    project:
-        The cross-file :class:`~repro.analysis.dataflow.project.ProjectGraph`
-        when the engine linted a whole path set, else ``None`` — rules
-        using it must degrade gracefully to single-file facts.
     """
 
     path: str
     source: str
     tree: ast.Module
-    project: "ProjectGraph | None" = None
 
     @property
     def path_parts(self) -> tuple[str, ...]:

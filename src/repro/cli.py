@@ -502,13 +502,6 @@ def _cmd_viscosity(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis.baseline import (
-        baseline_from_diagnostics,
-        load_baseline,
-        save_baseline,
-    )
     from repro.analysis.engine import lint_paths
     from repro.analysis.rules import ALL_RULES
 
@@ -532,22 +525,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 2
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
-    cache = Path(args.project_cache) if args.project_cache else None
     try:
-        report = lint_paths(
-            args.paths, select=select, ignore=ignore, project_cache=cache
-        )
+        report = lint_paths(args.paths, select=select, ignore=ignore)
     except (ValueError, FileNotFoundError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    baseline_path = Path(args.baseline)
-    if args.write_baseline:
-        save_baseline(baseline_path, baseline_from_diagnostics(report.diagnostics))
-        print(
-            f"repro lint: wrote {baseline_path} "
-            f"({len(report.diagnostics)} finding(s) recorded)"
-        )
-        return 0
     if args.format == "json":
         print(report.format_json())
     elif args.format == "github":
@@ -556,31 +538,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(output)
     else:
         print(report.format_text())
-    if not args.strict:
-        return report.exit_code
-    try:
-        baseline = load_baseline(baseline_path)
-    except ValueError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    fresh = baseline.fresh_findings(report.diagnostics)
-    stale = baseline.stale_entries(report.diagnostics)
-    for d in fresh:
-        print(f"strict: not in baseline: {d.format()}", file=sys.stderr)
-    for entry in stale:
-        print(
-            f"strict: stale baseline entry {entry.rule} for {entry.path} — "
-            "the finding is gone; remove it from the baseline",
-            file=sys.stderr,
-        )
-    if fresh or stale:
-        print(
-            f"repro lint --strict: {len(fresh)} new finding(s), "
-            f"{len(stale)} stale baseline entr(y/ies)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return report.exit_code
 
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
@@ -1003,27 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULE",
         help="print the long-form rationale for one rule id and exit",
-    )
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on any finding not in the baseline, and on stale entries",
-    )
-    p.add_argument(
-        "--baseline",
-        default=".repro-lint-baseline.json",
-        help="baseline file for --strict (default: .repro-lint-baseline.json)",
-    )
-    p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the accepted baseline and exit",
-    )
-    p.add_argument(
-        "--project-cache",
-        default=None,
-        metavar="PATH",
-        help="digest-keyed cache file for the cross-file project graph",
     )
     p.set_defaults(func=_cmd_lint)
 

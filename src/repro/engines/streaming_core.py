@@ -36,7 +36,6 @@ from repro.engines.stats import EngineRunStats
 from repro.lattice.boundary import shift_plane_into
 from repro.lgca.automaton import SiteModel
 from repro.telemetry import NULL_RECORDER, Recorder
-from repro.util.hotpath import hot_path
 from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = ["PipelineStage", "StreamingEngineCore"]
@@ -107,24 +106,23 @@ class PipelineStage:
         if self._buf_dtype != stream.dtype:
             rows, cols = self._stencil.rows, self._stencil.cols
             n = rows * cols
-            self._r = np.repeat(np.arange(rows), cols)  # repro: alloc-ok
-            self._c = np.tile(np.arange(cols), rows)  # repro: alloc-ok
+            self._r = np.repeat(np.arange(rows), cols)
+            self._c = np.tile(np.arange(cols), rows)
             self._r.setflags(write=False)
             self._c.setflags(write=False)
-            self._out_pair = (  # repro: alloc-ok
-                np.empty(n, dtype=stream.dtype),  # repro: alloc-ok
-                np.empty(n, dtype=stream.dtype),  # repro: alloc-ok
+            self._out_pair = (
+                np.empty(n, dtype=stream.dtype),
+                np.empty(n, dtype=stream.dtype),
             )
-            self._collided = np.empty(n, dtype=stream.dtype)  # repro: alloc-ok
-            self._gather = np.empty((rows, cols), dtype=stream.dtype)  # repro: alloc-ok
-            self._shift_stage = np.empty((rows, cols), dtype=stream.dtype)  # repro: alloc-ok
+            self._collided = np.empty(n, dtype=stream.dtype)
+            self._gather = np.empty((rows, cols), dtype=stream.dtype)
+            self._shift_stage = np.empty((rows, cols), dtype=stream.dtype)
             self._buf_dtype = stream.dtype
             self._out_sel = 0
         out = self._out_pair[self._out_sel]
         self._out_sel = 1 - self._out_sel
         return out
 
-    @hot_path
     def process(self, stream: np.ndarray, generation: int) -> np.ndarray:
         """Vectorized stage: one whole frame stream -> next generation.
 
@@ -332,14 +330,13 @@ class StreamingEngineCore:
 
     # -- evolution ---------------------------------------------------------------
 
-    @hot_path
     def _advance_stream(
         self, stream: np.ndarray, generation: int, tickwise: bool
     ) -> np.ndarray:
         """Transform the site stream through one stage (one generation)."""
         if tickwise:
             # Tick-accurate diagnostic path, not a streaming rate model.
-            return self.stage.process_tickwise(stream, generation)  # repro: alloc-ok
+            return self.stage.process_tickwise(stream, generation)
         return self.stage.process(stream, generation)
 
     def run(

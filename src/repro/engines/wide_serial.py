@@ -29,7 +29,6 @@ from repro.engines.shiftreg import ShiftRegister
 from repro.engines.streaming_core import StreamingEngineCore
 from repro.lgca.automaton import SiteModel
 from repro.telemetry import Recorder
-from repro.util.hotpath import hot_path
 from repro.util.validation import check_positive
 
 __all__ = ["WideSerialEngine"]
@@ -100,14 +99,13 @@ class WideSerialEngine(StreamingEngineCore):
         lane_latency = math.ceil(self.stage.latency_ticks / self.lanes)
         return n_ticks_stream + span * lane_latency
 
-    @hot_path
     def _advance_stream(
         self, stream: np.ndarray, generation: int, tickwise: bool
     ) -> np.ndarray:
         """One stage; the tickwise path is the lane-accurate simulation."""
         if tickwise:
             # Lane-accurate diagnostic path, not a streaming rate model.
-            return self.process_stage_tickwise(stream, generation)  # repro: alloc-ok
+            return self.process_stage_tickwise(stream, generation)
         return self.stage.process(stream, generation)
 
     def process_stage_tickwise(

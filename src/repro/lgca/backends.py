@@ -44,7 +44,6 @@ from repro.lgca.bitplane import BitplaneKernel
 from repro.lgca.bits import bounce_back_table
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.errors import ConfigError
-from repro.util.hotpath import hot_path
 
 __all__ = [
     "BACKENDS",
@@ -139,7 +138,6 @@ class ReferenceStepper:
     def load(self, state: np.ndarray) -> None:
         np.copyto(self._src, self.model.check_state(state))  # type: ignore[attr-defined]
 
-    @hot_path
     def advance(self, t: int) -> None:
         clk = self._clk
         t_start = clk()
@@ -198,7 +196,6 @@ class BitplaneStepper:
         state = self.model.check_state(state)  # type: ignore[attr-defined]
         self._src[...] = self.kernel.pack(state)
 
-    @hot_path
     def advance(self, t: int) -> None:
         t_start = self._clk()
         self.kernel.step_into(self._src, self._dst, t)

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.lgca.bits import opposite_channels
-from repro.util.hotpath import hot_path
 from repro.lgca.collision import CollisionTable
 from repro.lgca.fhp import (
     _COL_OFFSET_EVEN,
@@ -141,12 +140,40 @@ def unpack_plane(words: np.ndarray, cols: int) -> np.ndarray:
     rows, w = words.shape
     if num_words(cols) != w:
         raise ValueError(f"{w} words cannot hold {cols} columns")
-    bits = np.unpackbits(_words_to_bytes(words), axis=1, bitorder="little")
-    return bits[:, :cols]
+    return _unpack_plane_into(
+        words, cols, np.empty((rows, w * WORD_BITS), dtype=np.uint8)
+    )
 
 
 #: One set bit per byte lane of a uint64 — the {0,1}-byte SIMD mask.
 _LANES = np.uint64(0x0101010101010101)
+
+#: Bit ``j`` kept in the ``j``-th byte (in memory order) of a uint64.
+_LANE_BITS = np.uint64(
+    0x8040201008040201 if _LITTLE_ENDIAN else 0x0102040810204080
+)
+
+#: Added to a byte lane holding 0 or ``1 << j``: sets its top bit iff nonzero.
+_LANE_CARRY = np.uint64(0x7F7F7F7F7F7F7F7F)
+
+
+def _unpack_plane_into(words: np.ndarray, cols: int, out: np.ndarray) -> np.ndarray:
+    """:func:`unpack_plane` into ``out``; returns its ``(rows, cols)`` view.
+
+    ``words`` is C-contiguous ``(rows, W)`` uint64 and ``out`` a
+    C-contiguous ``(rows, 64*W)`` uint8 buffer.  Each group of eight
+    output bytes is one uint64 lane word built from one input byte:
+    replicate the byte into every lane, keep bit ``j`` in lane ``j``,
+    then move it to the lane's bit 0.  No temporary grows with the
+    plane (``np.unpackbits`` has no ``out=``).
+    """
+    lanes = out.view(np.uint64)
+    np.multiply(_words_to_bytes(words), _LANES, out=lanes)
+    lanes &= _LANE_BITS
+    lanes += _LANE_CARRY
+    lanes >>= np.uint64(7)
+    lanes &= _LANES
+    return out[:, :cols]
 
 
 def _split_channels(state: np.ndarray, bits: np.ndarray) -> None:
@@ -470,7 +497,6 @@ class CollisionNetwork:
         height = min(rows, max(1, BLOCK_BYTES // (8 * words)))
         return np.empty((self.num_temps, height, words), dtype=np.uint64)
 
-    @hot_path
     def run(
         self,
         planes_in: np.ndarray,
@@ -490,7 +516,7 @@ class CollisionNetwork:
         rows = planes_in.shape[1]
         block = temps.shape[1]
         # One register table per call, rebound to views block by block.
-        regs: list = [None] * (first_temp + self.num_temps)  # repro: alloc-ok
+        regs: list = [None] * (first_temp + self.num_temps)
         for r0 in range(0, rows, block):
             r1 = min(r0 + block, rows)
             for ch in range(c):
@@ -827,13 +853,12 @@ class BitplaneKernel:
         assert self._chirality == "random"
         # The model's draw is already in plane layout: it is the left
         # mask.  random_raw has no out=, so it is a fresh 1 bit per site.
-        left = self.model.chirality_words(t)  # type: ignore[union-attr]  # repro: alloc-ok
+        left = self.model.chirality_words(t)  # type: ignore[union-attr]
         right = self._rand_right
         np.invert(left, out=right)
         right[:, -1] &= _tail_mask(self.cols)
         return left, right
 
-    @hot_path
     def collide_into(
         self, planes_in: np.ndarray, planes_out: np.ndarray, t: int = 0
     ) -> None:
@@ -861,7 +886,6 @@ class BitplaneKernel:
 
     # -- propagation -----------------------------------------------------------
 
-    @hot_path
     def propagate_into(self, planes_in: np.ndarray, planes_out: np.ndarray) -> None:
         """Word-shift propagation under the model's boundary condition.
 
@@ -922,7 +946,6 @@ class BitplaneKernel:
 
     # -- full generation -------------------------------------------------------
 
-    @hot_path
     def step_into(
         self, planes_in: np.ndarray, planes_out: np.ndarray, t: int = 0
     ) -> None:

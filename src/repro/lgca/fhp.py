@@ -321,13 +321,20 @@ class FHPModel:
     def _chirality_offset(self, t: int) -> np.ndarray | np.uint8:
         """``left << C`` per site at time ``t``: the chirality half of the
         :func:`_chiral_lookup` index.  A scalar for the fixed policies;
-        cached per time parity for ``"alternate"``, so steady-state
-        stepping does not allocate.  Callers must not mutate the result."""
+        cached per time parity for ``"alternate"``; for ``"random"``,
+        unpacked into a scratch buffer that the next call overwrites.
+        Steady-state stepping allocates only the random draw's words.
+        Callers must not mutate the result."""
         shift = self.num_channels
         if self.chirality in ("left", "right"):
             return np.uint8((self.chirality == "left") << shift)
         if self.chirality == "random":
-            return np.left_shift(self.chirality_field(t).view(np.uint8), shift)
+            from repro.lgca.bitplane import _unpack_plane_into
+
+            lanes = self._scratch("chirality_lanes", np.uint8)
+            offset = _unpack_plane_into(self.chirality_words(t), self.cols, lanes)
+            offset <<= np.uint8(shift)
+            return offset
         cache = getattr(self, "_offset_cache", None)
         if cache is None:
             cache = {}
@@ -425,6 +432,10 @@ class FHPModel:
         if buf is None:
             if key in ("ch_in", "ch_out"):
                 shape: tuple[int, ...] = (self.num_channels, self.rows, self.cols)
+            elif key == "chirality_lanes":  # whole words: 64 sites apiece
+                from repro.lgca.bitplane import WORD_BITS, num_words
+
+                shape = (self.rows, WORD_BITS * num_words(self.cols))
             else:
                 shape = (self.rows, self.cols)
             buf = np.empty(shape, dtype=dt)

@@ -32,7 +32,6 @@ from repro.lattice.slabs import BOUNDARY_ROWS, Shard, plan_shards
 from repro.lgca.backends import make_stepper
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.errors import ConfigError
-from repro.util.hotpath import hot_path
 
 __all__ = ["BOUNDARY_ROWS", "Shard", "ShardRunner", "plan_shards"]
 
@@ -163,7 +162,6 @@ class ShardRunner:
             lattice.write_rows(self._slab_stop, below_top[: shard.halo_bottom])
         self._halo_timer.record(self._clock() - start)
 
-    @hot_path
     def step(self) -> None:
         """Advance the local frame one generation (halos must be fresh)."""
         start = self._clock()

@@ -7,8 +7,9 @@ This module is that spine's core:
 
 * :class:`Counter` — a pre-bindable monotonic event counter;
 * :class:`Timer` — a histogram timer with fixed power-of-two buckets
-  (scalar accumulators only, so recording is allocation-free and legal
-  inside ``@hot_path`` code under RPR101/RPR102);
+  (scalar accumulators only, so recording is allocation-free and
+  legal inside the streaming kernels, whose warm allocation the test
+  suite gates under ``tracemalloc``);
 * spans — nested wall-clock intervals with tick/generation attribution;
 * :class:`Recorder` — the protocol every measuring layer programs
   against, with two implementations:
@@ -123,8 +124,8 @@ class Timer:
     """A histogram timer: scalar accumulators plus fixed 2^n ns buckets.
 
     ``record`` touches only floats, ints, and a preallocated list slot,
-    so it is allocation-free in steady state and legal inside
-    ``@hot_path`` code.  Like :class:`Counter`, a timer is a pre-bound
+    so it is allocation-free in steady state and legal inside a hot
+    path.  Like :class:`Counter`, a timer is a pre-bound
     handle — resolve it once outside the loop, call ``record`` inside.
     """
 

@@ -24,13 +24,9 @@ from repro.util.validation import (
 from repro.util.tables import Table, format_quantity, format_rate
 from repro.util.timeout import WallClockTimeout, wall_clock_limit
 from repro.util.render import shade_map, speed_map, spacetime_diagram
-from repro.util.hotpath import HOT_PATH_REGISTRY, hot_path, is_hot_path
 
 __all__ = [
     "BackoffPolicy",
-    "HOT_PATH_REGISTRY",
-    "hot_path",
-    "is_hot_path",
     "ReproError",
     "ConfigError",
     "FaultDetectedError",

@@ -65,12 +65,12 @@ class TestEngine:
 
 class TestRuleRegistry:
     def test_ids_unique_and_ordered(self):
-        # Ids are unique and sorted but not contiguous: the 0xx block is
-        # the syntactic rules, the 1xx block the dataflow rule families.
+        # Ids are unique and sorted but not contiguous: retired ids are
+        # never reused.
         ids = [r.id for r in ALL_RULES]
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
-        assert {"RPR001", "RPR101", "RPR102", "RPR110"} <= set(ids)
+        assert ids == ["RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006", "RPR103"]
 
     def test_select_subset(self):
         rules = get_rules(select=["RPR001", "RPR005"])

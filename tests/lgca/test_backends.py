@@ -278,42 +278,3 @@ class TestResidentState:
                 stepper.load(bad)
             with pytest.raises(ValueError):
                 stepper.load(np.zeros((4, 5), dtype=np.uint8))
-
-    def test_bitplane_advance_is_allocation_free(self):
-        model = FHPModel(32, 100)
-        peak = _advance_peak_bytes(make_stepper(model, backend="bitplane"), model)
-        assert peak < 16_000, f"advance allocated {peak} bytes"
-
-    def test_reference_advance_allocates_only_numpys_index_cast(self):
-        """Every array the reference ``advance`` writes is preallocated.
-
-        The one allocation left is inside numpy: ``np.take`` converts the
-        ``uint8`` site values it looks up to ``intp`` indices in a
-        temporary (8 bytes per site), freed before the lookup returns.
-        The table lookups run one after another, so the peak is one such
-        temporary; any full-lattice array of our own on top of it (even a
-        ``bool`` mask, 1 byte per site) exceeds the margin.
-        """
-        rows, cols = 64, 200
-        # reflecting edges and obstacles exercise the bounce-back scratch too
-        model = FHPModel(rows, cols, rest_particles=True, boundary="reflecting")
-        mask = np.random.default_rng(3).random((rows, cols)) < 0.1
-        stepper = make_stepper(model, obstacles=mask)
-        peak = _advance_peak_bytes(stepper, model)
-        index_cast = 8 * rows * cols
-        assert peak < index_cast + rows * cols // 2, f"advance allocated {peak} bytes"
-
-
-def _advance_peak_bytes(stepper, model):
-    """Peak traced allocation over six ``advance`` calls after a warm-up."""
-    import tracemalloc
-
-    stepper.load(_state(7, model.rows, model.cols, model.num_channels))
-    stepper.advance(0)
-    stepper.advance(1)
-    tracemalloc.start()
-    for t in range(6):
-        stepper.advance(t)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return peak

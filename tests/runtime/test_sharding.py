@@ -204,19 +204,6 @@ class TestResidentShard:
         assert runner.interior.shape == (shard.slab_rows, 130)
         assert converted == [("unpack", shard.slab_rows)]
 
-    def test_step_is_allocation_free(self):
-        import tracemalloc
-
-        runner = _bitplane_runner()
-        runner.step()
-        runner.step()
-        tracemalloc.start()
-        for _ in range(6):
-            runner.step()
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < 16_000, f"ShardRunner.step allocated {peak} bytes"
-
     def test_kernel_timers_still_report(self):
         """The resident path records the same ``kernel.bitplane.*``
         handles a stepped shard did, so worker telemetry keeps its shape."""

@@ -315,16 +315,16 @@ class TestLint:
         assert "RPR999" in capsys.readouterr().err
 
     def test_explain_known_rule(self, capsys):
-        assert main(["lint", "--explain", "RPR110"]) == 0
+        assert main(["lint", "--explain", "RPR103"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("RPR110:")
-        assert "double" in out  # the double-buffer discipline
+        assert out.startswith("RPR103:")
+        assert "StepClock" in out  # the fakeable-clock rationale
 
     def test_explain_unknown_rule_is_usage_error(self, capsys):
         assert main(["lint", "--explain", "RPR999"]) == 2
         err = capsys.readouterr().err
         assert "RPR999" in err
-        assert "RPR110" in err  # the valid ids are listed
+        assert "RPR103" in err  # the valid ids are listed
 
     def test_github_format(self, capsys, tmp_path):
         bad = tmp_path / "bad.py"
@@ -354,17 +354,10 @@ class TestLint:
         bad.write_text("def f(x=[]):  # repro: noqa[RPR005]\n    return x\n")
         assert main(["lint", str(bad)]) == 1
 
-    def test_project_cache_round_trip(self, capsys, tmp_path):
-        import json
-
-        (tmp_path / "ok.py").write_text("X = 1\n")
-        cache = tmp_path / "graph.json"
-        args = ["lint", "--project-cache", str(cache), str(tmp_path / "ok.py")]
-        assert main(args) == 0
-        assert cache.is_file()
-        payload = json.loads(cache.read_text())
-        assert payload["schema"] == "repro-lint-project"
-        assert main(args) == 0  # second run reuses the cache
+    def test_retired_rule_is_usage_error(self, capsys):
+        # RPR101 (hot-path allocation) became tests/test_hot_paths.py.
+        assert main(["lint", "--select", "RPR101", "src/repro"]) == 2
+        assert "RPR101" in capsys.readouterr().err
 
 
 class TestSanitize:
