@@ -23,15 +23,14 @@ from repro.lgca.automaton import LatticeGasAutomaton
 from repro.lgca.fhp import FHPModel
 from repro.lgca.flows import uniform_random_state
 from repro.resilience import (
-    CampaignConfig,
     FaultInjector,
     FaultSpec,
     ReliableRowTransport,
     ResilientAutomatonRunner,
     TMRVoter,
     UnreliableRowChannel,
-    run_campaign,
 )
+from repro.resilience.campaign import CampaignConfig, run_campaign
 from repro.util.tables import Table
 
 ROWS, COLS, GENS = 16, 16, 8

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.util.validation import check_positive
 
@@ -124,7 +123,17 @@ def feasibility_corner(
         # Pins binding everywhere: corner at the right endpoint.
         x_star = x_max
     else:
-        x_star = float(brentq(gap, x_min, x_max, xtol=1e-9))
+        # gap(lo) > 0 >= gap(hi): bisect until the bracket is one float
+        # wide (about 60 halvings), then take the last x the pins bind.
+        lo, hi = float(x_min), float(x_max)
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if gap(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        x_star = lo
     p_star = min(pin_limit(x_star), area_limit(x_star))
     return DesignPoint(x=x_star, p=max(0.0, p_star))
 

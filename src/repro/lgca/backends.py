@@ -21,8 +21,8 @@ stream across the host boundary only what must cross.  :meth:`load
 <KernelStepper.load>` converts a whole lattice in, :meth:`advance
 <KernelStepper.advance>` steps it one generation in place without
 allocating, and the row methods are the only other site-field traffic:
-a shard of the supervised runtime exchanges two halo rows per side per
-generation and converts nothing else.
+a shard of the supervised runtime exchanges its halo rows once per
+block of generations and converts nothing else.
 
 :func:`evolve` is the one "load, advance ``n``, read back" loop; the
 automaton (:class:`repro.lgca.automaton.LatticeGasAutomaton`), the

@@ -10,20 +10,12 @@ Layering:
 * :mod:`repro.resilience.recovery` — the resilient automaton runner and
   the reliable row transport (rollback, recompute, bounded retry);
 * :mod:`repro.resilience.campaign` — the sweep runner and its
-  deterministic report.
+  deterministic report.  It drives the engine simulators through
+  :mod:`repro.machines`, so it is not imported here: import it as
+  ``repro.resilience.campaign`` (a supervised worker, which only needs
+  checkpoints, then never loads the machine registry).
 """
 
-from repro.resilience.campaign import (
-    OUTCOMES,
-    CampaignConfig,
-    Trial,
-    TrialResult,
-    build_trials,
-    render_report,
-    report_json,
-    run_campaign,
-    run_trial,
-)
 from repro.resilience.checkpoint import Checkpoint, CheckpointStore
 from repro.resilience.faults import (
     FAULT_KINDS,
@@ -53,15 +45,6 @@ from repro.resilience.recovery import (
 )
 
 __all__ = [
-    "OUTCOMES",
-    "CampaignConfig",
-    "Trial",
-    "TrialResult",
-    "build_trials",
-    "render_report",
-    "report_json",
-    "run_campaign",
-    "run_trial",
     "Checkpoint",
     "CheckpointStore",
     "FAULT_KINDS",

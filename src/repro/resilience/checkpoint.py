@@ -8,11 +8,13 @@ carry their own parity tags so a *corrupted checkpoint* is detected at
 restore time instead of silently seeding a wrong replay.
 
 The store keeps a bounded in-memory ring and can additionally persist
-every checkpoint to a directory.  Durable writes are **crash-safe**:
-each checkpoint is written to a temporary file, flushed and fsynced,
-then moved into place with an atomic rename (and the directory entry
-fsynced) — a process killed at any instant mid-checkpoint leaves the
-previous restorable frame untouched.  Restore scans newest-to-oldest
+every checkpoint to a directory.  A durable checkpoint file is three
+consecutive ``.npy`` frames — generation, parity tags, state — with no
+zip container around them (the ``.npz`` name is historical).  Durable
+writes are **crash-safe**: each checkpoint is written to a temporary
+file, flushed and fsynced, then moved into place with an atomic rename
+(and the directory entry fsynced) — a process killed at any instant
+mid-checkpoint leaves the previous restorable frame untouched.  Restore scans newest-to-oldest
 and skips anything unreadable or parity-corrupt, so a torn or rotted
 file degrades to an older recovery point, never to a wrong replay.
 """
@@ -20,7 +22,6 @@ file degrades to an older recovery point, never to a wrong replay.
 from __future__ import annotations
 
 import os
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,12 +69,9 @@ def _write_durable(directory: Path, cp: Checkpoint) -> Path:
     tmp = directory / f"{_TMP_PREFIX}{final.name}.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                generation=np.asarray(cp.generation, dtype=np.int64),
-                state=cp.state,
-                tags=cp.tags,
-            )
+            np.save(fh, np.asarray(cp.generation, dtype=np.int64))
+            np.save(fh, cp.tags)
+            np.save(fh, cp.state)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, final)
@@ -95,13 +93,12 @@ def _write_durable(directory: Path, cp: Checkpoint) -> Path:
 def _read_durable(path: Path) -> Checkpoint:
     """Load one durable checkpoint; raises :class:`CheckpointError` if torn."""
     try:
-        with np.load(path, allow_pickle=False) as data:
-            cp = Checkpoint(
-                generation=int(data["generation"]),
-                state=np.array(data["state"]),
-                tags=np.array(data["tags"]),
-            )
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        with open(path, "rb") as fh:
+            generation = int(np.load(fh, allow_pickle=False))
+            tags = np.load(fh, allow_pickle=False)
+            state = np.load(fh, allow_pickle=False)
+        cp = Checkpoint(generation=generation, state=state, tags=tags)
+    except (OSError, ValueError, EOFError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     cp.verify()
     return cp

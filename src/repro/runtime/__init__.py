@@ -5,9 +5,9 @@ This package scales the in-process resilience story
 lattice is split into row slabs (:mod:`repro.runtime.sharding`), each
 slab evolves in its own worker process (:mod:`repro.runtime.worker`),
 and a supervisor (:mod:`repro.runtime.supervisor`) runs the halo-exchange
-barrier, watches heartbeats, restarts dead or hung workers from durable
-checkpoints, and reports everything in a schema-versioned supervision
-report.  Every worker of a run, and every restart, runs the run's one
+barrier once per block of generations, watches heartbeats, restarts
+dead or hung workers from durable checkpoints, and reports everything
+in a schema-versioned supervision report.  Every worker of a run, and every restart, runs the run's one
 kernel backend.
 
 The headline invariant: a supervised run that loses no shard
@@ -17,7 +17,14 @@ single-process evolution.
 """
 
 from repro.runtime.modelspec import MODEL_KINDS, ModelSpec
-from repro.runtime.sharding import BOUNDARY_ROWS, Shard, ShardRunner, plan_shards
+from repro.runtime.sharding import (
+    BOUNDARY_ROWS,
+    HALO_GENERATIONS,
+    Shard,
+    ShardRunner,
+    block_end,
+    plan_shards,
+)
 from repro.runtime.supervisor import (
     REPORT_SCHEMA,
     REPORT_SCHEMA_VERSION,
@@ -30,6 +37,7 @@ from repro.runtime.worker import InducedFault, WorkerConfig, worker_main
 
 __all__ = [
     "BOUNDARY_ROWS",
+    "HALO_GENERATIONS",
     "InducedFault",
     "MODEL_KINDS",
     "ModelSpec",
@@ -41,6 +49,7 @@ __all__ = [
     "SupervisionReport",
     "SupervisorConfig",
     "WorkerConfig",
+    "block_end",
     "plan_shards",
     "supervised_run",
     "worker_main",

@@ -1,4 +1,4 @@
-"""Row-slab sharding with halo exchange for multi-process lattice runs.
+"""Row-slab sharding with block halo exchange for multi-process runs.
 
 The supervised runtime divides the lattice into adjacent horizontal
 slabs, one per worker, mirroring the slice geometry of
@@ -10,12 +10,13 @@ The slab geometry itself — :class:`~repro.lattice.slabs.Shard` and
 :func:`~repro.lattice.slabs.plan_shards` — lives in
 :mod:`repro.lattice.slabs`; this module re-exports it and adds the
 process-level :class:`ShardRunner` on top, which holds its slab in one
-kernel stepper, loaded once.  This is the repo's one parallelism layer;
-there is no thread-level kernel backend.  See the slab planner's
-docstring for the halo-size invariants (even local start row, even
-local frame) and why refreshing two boundary rows per side per
-generation makes the slab interiors evolve bit-identically to the
-whole-lattice run.
+kernel stepper, loaded once, and :func:`block_end`, the block schedule
+the worker and the supervisor share.  This is the repo's one
+parallelism layer; there is no thread-level kernel backend.  See the
+slab planner's docstring for the halo-size invariants (even local start
+row, even local frame, halos at least ``depth`` rows deep) and why
+refreshing the halos once per block of up to ``depth`` generations
+keeps the slab interiors bit-identical to the whole-lattice run.
 
 Bit-identity at *this* layer holds for the ``alternate``, ``left`` and
 ``right`` chirality policies.  Per-site ``random`` chirality is a pure
@@ -28,12 +29,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lattice.slabs import BOUNDARY_ROWS, Shard, plan_shards
+from repro.lattice.slabs import BOUNDARY_ROWS, HALO_GENERATIONS, Shard, plan_shards
 from repro.lgca.backends import make_stepper
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.errors import ConfigError
 
-__all__ = ["BOUNDARY_ROWS", "Shard", "ShardRunner", "plan_shards"]
+__all__ = [
+    "BOUNDARY_ROWS",
+    "HALO_GENERATIONS",
+    "Shard",
+    "ShardRunner",
+    "block_end",
+    "plan_shards",
+]
+
+
+def block_end(generation: int, depth: int, interval: int, target: int) -> int:
+    """The generation that ends the halo block starting at ``generation``.
+
+    A block covers at most ``depth`` generations and never crosses a
+    checkpoint (a multiple of ``interval``) or the ``target``, so every
+    checkpoint and the target end a block: a worker restored from a
+    checkpoint resumes at a block start, and its replay is whole blocks.
+    """
+    return min(generation + depth, (generation // interval + 1) * interval, target)
 
 
 class ShardRunner:
@@ -44,10 +63,12 @@ class ShardRunner:
 
     The local frame lives in a backend stepper
     (:class:`~repro.lgca.backends.KernelStepper`) for the runner's whole
-    life: on ``"bitplane"`` it is packed once here, and a generation
-    converts only the :data:`BOUNDARY_ROWS` rows per side published by
+    life: on ``"bitplane"`` it is packed once here, and a halo exchange
+    converts only the ``shard.exchange_rows`` rows per side published by
     :meth:`boundary_rows` and the halo rows written by :meth:`set_halos`.
-    The whole slab is unpacked only when :attr:`interior` is read — at
+    One exchange keeps the slab exact for ``shard.depth`` generations;
+    refreshing more often (every generation, say) is exact too.  The
+    whole slab is unpacked only when :attr:`interior` is read — at
     checkpoints and for the final ``done`` message.
 
     Parameters
@@ -110,6 +131,11 @@ class ShardRunner:
         )
         self._lattice.load(local)
         self._slab_stop = shard.halo_top + shard.slab_rows
+        # Null-boundary lattice edges (set_halos(None)): the halo beyond
+        # the edge is emptied after every step, so nothing that flowed
+        # out can bounce or collide back in during a block.
+        self._absorb_top = False
+        self._absorb_bottom = False
         # Pre-bound handles (see OBSERVABILITY.md): free under the null
         # recorder, allocation-free per generation under a real one.
         self._clock = rec.clock
@@ -129,13 +155,14 @@ class ShardRunner:
     def boundary_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """``(top, bottom)`` — the slab's outermost rows for neighbours.
 
-        Always :data:`BOUNDARY_ROWS` rows each, as fresh arrays;
-        receivers slice off the halo depth they need.
+        ``shard.exchange_rows`` rows each (:data:`BOUNDARY_ROWS` at full
+        depth), as fresh arrays; receivers slice off the halo depth they
+        need.
         """
-        top, stop = self.shard.halo_top, self._slab_stop
+        top, stop, rows = self.shard.halo_top, self._slab_stop, self.shard.exchange_rows
         return (
-            self._lattice.read_rows(top, top + BOUNDARY_ROWS),
-            self._lattice.read_rows(stop - BOUNDARY_ROWS, stop),
+            self._lattice.read_rows(top, top + rows),
+            self._lattice.read_rows(stop - rows, stop),
         )
 
     def set_halos(
@@ -145,17 +172,22 @@ class ShardRunner:
     ) -> None:
         """Refresh the halo rows from the neighbours' boundary rows.
 
-        ``above_bottom`` is the *bottom* boundary pair of the shard
-        above (its last two rows); ``below_top`` the *top* pair of the
-        shard below.  ``None`` zero-fills the halo — the null-boundary
-        lattice edge, where nothing flows in.
+        ``above_bottom`` is the *bottom* boundary rows of the shard
+        above; its last ``halo_top`` rows fill the top halo.
+        ``below_top`` is the *top* boundary rows of the shard below; its
+        first ``halo_bottom`` rows fill the bottom halo.  ``None`` marks
+        a null-boundary lattice edge, where nothing flows in: that halo
+        is zero-filled now and emptied again after every step until the
+        next refresh.
         """
         start = self._clock()
         shard, lattice = self.shard, self._lattice
+        self._absorb_top = above_bottom is None
+        self._absorb_bottom = below_top is None
         if above_bottom is None:
             lattice.clear_rows(0, shard.halo_top)
         else:
-            lattice.write_rows(0, above_bottom[BOUNDARY_ROWS - shard.halo_top :])
+            lattice.write_rows(0, above_bottom[len(above_bottom) - shard.halo_top :])
         if below_top is None:
             lattice.clear_rows(self._slab_stop, shard.local_rows)
         else:
@@ -163,9 +195,18 @@ class ShardRunner:
         self._halo_timer.record(self._clock() - start)
 
     def step(self) -> None:
-        """Advance the local frame one generation (halos must be fresh)."""
+        """Advance the local frame one generation.
+
+        The slab stays exact for ``shard.depth`` steps after a
+        :meth:`set_halos`.
+        """
         start = self._clock()
-        self._lattice.advance(self.time)
+        lattice = self._lattice
+        lattice.advance(self.time)
+        if self._absorb_top:
+            lattice.clear_rows(0, self.shard.halo_top)
+        if self._absorb_bottom:
+            lattice.clear_rows(self._slab_stop, self.shard.local_rows)
         self.time += 1
         self._step_timer.record(self._clock() - start)
         self._generations.add(1)

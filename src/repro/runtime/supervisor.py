@@ -5,11 +5,14 @@
 and babysits them the way the in-process resilience layer babysits a
 single evolution:
 
-* a **lock-step barrier** — every generation, each worker publishes its
-  two boundary rows; once all live workers have published generation
-  ``g``, the supervisor routes each worker its neighbours' rows and the
-  workers step.  The supervisor keeps a bounded *halo history* of these
-  exchanges;
+* a **lock-step barrier** — once per *block* of generations
+  (:func:`~repro.runtime.sharding.block_end`: at most the plan's halo
+  depth, ending at every checkpoint and at the target), each worker
+  publishes its ``depth + 1`` boundary rows per side; once all live
+  workers have published block start ``b``, the supervisor routes each
+  worker its neighbours' rows and the workers step the whole block.
+  The supervisor keeps a bounded *halo history* of these exchanges,
+  one entry per block start;
 * a **watchdog** — each worker the supervisor is waiting on carries a
   reply deadline ``watchdog_timeout`` ahead, pushed out by each of its
   messages; a worker silent past its deadline is presumed hung and
@@ -19,7 +22,8 @@ single evolution:
   (:class:`repro.util.backoff.BackoffPolicy`); the new incarnation
   restores the newest intact durable checkpoint
   (:class:`~repro.resilience.checkpoint.CheckpointStore`) and the
-  supervisor replays the halo history to catch it up to the barrier —
+  supervisor replays the halo history, whole blocks from the restored
+  checkpoint (always a block start), to catch it up to the barrier —
   so a restarted run is **bit-identical** to an undisturbed one.  A
   worker that raises is restarted the same way: every worker and every
   restart runs the run's one kernel backend, so a kernel bug replays
@@ -58,7 +62,7 @@ import numpy as np
 from repro.lgca.backends import check_backend
 from repro.resilience.checkpoint import CheckpointStore
 from repro.runtime.modelspec import ModelSpec
-from repro.runtime.sharding import Shard, plan_shards
+from repro.runtime.sharding import Shard, block_end, plan_shards
 from repro.runtime.worker import InducedFault, WorkerConfig, worker_main
 from repro.telemetry import (
     MONOTONIC,
@@ -133,7 +137,9 @@ class SupervisorConfig:
         Generations between a worker's durable checkpoints.
     watchdog_timeout:
         Seconds a worker the supervisor is waiting on may stay silent
-        before it is presumed hung and killed.
+        before it is presumed hung and killed.  A healthy worker is
+        silent for up to one block of generations (at most
+        ``HALO_GENERATIONS``) plus one durable checkpoint save.
     poll_interval:
         Supervisor event-loop wakeup period (finite).
     backoff:
@@ -329,6 +335,7 @@ class _Supervision:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._heartbeats = self.recorder.counter("supervisor.heartbeats")
         self.shards = plan_shards(self.spec.rows, config.num_workers)
+        self.depth = self.shards[0].depth
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self.ctx = multiprocessing.get_context(method)
         self.rng = np.random.default_rng(config.seed + 0x5EED)
@@ -344,14 +351,20 @@ class _Supervision:
             )
         self.initial = np.ascontiguousarray(init, dtype=np.uint8)
         self.handles = [_Handle(s) for s in self.shards]
-        # Halo history: generation -> worker -> (top, bottom) boundary rows.
+        # Halo history: block start -> worker -> (top, bottom) boundary rows.
         self.boundaries: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
         self.last_boundary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for h in self.handles:
             slab = self.initial[h.shard.row_start : h.shard.row_stop]
-            self.last_boundary[h.index] = (slab[:2].copy(), slab[-2:].copy())
+            rows = h.shard.exchange_rows
+            self.last_boundary[h.index] = (slab[:rows].copy(), slab[-rows:].copy())
+        # The next block start to route; every generation before it has
+        # its halos routed to every live worker.
         self.barrier = 0
-        self.window = 2 * config.checkpoint_interval + 4
+        # History kept, in generations behind the barrier: a worker that
+        # died in the current block restores a checkpoint less than two
+        # intervals back; one interval more survives a corrupt newest one.
+        self.window = 3 * config.checkpoint_interval
         self.watchdog_kills = 0
         self.checkpoint_saves: dict[int, int] = {h.index: 0 for h in self.handles}
         self.restarts: list[RestartEvent] = []
@@ -513,6 +526,14 @@ class _Supervision:
 
     # -- halo routing --------------------------------------------------
 
+    def _block_end(self, generation: int) -> int:
+        return block_end(
+            generation,
+            self.depth,
+            self.config.checkpoint_interval,
+            self.config.generations,
+        )
+
     def _boundary_of(self, index: int, generation: int) -> tuple[np.ndarray, np.ndarray]:
         entry = self.boundaries.get(generation, {}).get(index)
         return self.last_boundary[index] if entry is None else entry
@@ -536,10 +557,10 @@ class _Supervision:
         return [h for h in self.handles if h.status != "dropped"]
 
     def _try_route(self) -> None:
-        """Advance the barrier once every live worker has published.
+        """Advance the barrier one block once every live worker has published.
 
-        One step at most: no worker can publish ``barrier + 1`` before
-        it has received the halo for ``barrier``.
+        One block at most: no worker can publish the next block start
+        before it has received the halo for ``barrier``.
         """
         g = self.barrier
         have = self.boundaries.get(g, {})
@@ -556,7 +577,7 @@ class _Supervision:
                 h.deadline = self.clock() + self.config.watchdog_timeout
             except OSError:
                 self._fail(h, "pipe closed while sending halo")
-        self.barrier = g + 1
+        self.barrier = self._block_end(g)
         for old in [gg for gg in self.boundaries if gg < self.barrier - self.window]:
             del self.boundaries[old]
 
@@ -583,10 +604,11 @@ class _Supervision:
                     h, f"checkpoint at generation {restored} predates halo history"
                 )
                 return
-            bundle = [
-                (g, *self._halo_for(h.index, g))
-                for g in range(restored, self.barrier)
-            ]
+            bundle = []
+            start = restored
+            while start < self.barrier:
+                bundle.append((start, *self._halo_for(h.index, start)))
+                start = self._block_end(start)
             try:
                 h.conn.send(("replay", bundle))
             except OSError:

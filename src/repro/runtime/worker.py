@@ -1,27 +1,35 @@
 """The shard worker process: step, checkpoint, exchange halos, obey.
 
 One worker owns one row slab (:class:`~repro.runtime.sharding.Shard`)
-and talks to the supervisor over a duplex pipe in strict lock-step:
+and talks to the supervisor over a duplex pipe in strict lock-step,
+once per *block* of generations
+(:func:`~repro.runtime.sharding.block_end`: at most ``shard.depth``
+generations, ending at every checkpoint and at the target):
 
 =================================== =====================================
 worker sends                        supervisor replies
 =================================== =====================================
-``("ready", incarnation, gen,       ``("replay", [(g, above, below)...])``
-``clock)``
-``("boundary", g, top, bottom)``    ``("halo", g, above, below)``
+``("ready", incarnation, gen,       ``("replay", [(b, above, below)...])``
+``clock)``                          — one entry per block start ``b``
+``("boundary", b, top, bottom)``    ``("halo", b, above, below)``
+at block start ``b``                — the worker then steps the block
 ``("checkpoint", g)``               —  (accounting only)
 ``("done", g, slab)``               ``("stop",)``
 ``("error", g, message)``           —  (the worker exits)
 =================================== =====================================
 
+Between ``halo`` and its next ``boundary`` a worker is silent for one
+block of steps plus, at a checkpoint, one durable save.
+
 Every incarnation checkpoints its slab crash-safely
 (:class:`~repro.resilience.checkpoint.CheckpointStore` with a
-directory); a restarted incarnation finds no ``initial_slab`` in its
-config, restores the newest intact checkpoint, announces the restored
-generation in ``ready``, and the supervisor replays the buffered halo
-history to catch it up to the barrier — bit-identically, because the
-kernels are deterministic and the halos are the exact rows the dead
-incarnation saw.
+directory) at block ends; a restarted incarnation finds no
+``initial_slab`` in its config, restores the newest intact checkpoint —
+always a block start — announces the restored generation in ``ready``,
+and the supervisor replays the buffered halo history, whole blocks, to
+catch it up to the barrier — bit-identically, because the kernels are
+deterministic and the halos are the exact rows the dead incarnation
+saw.
 
 ``ready`` also carries a reading of the worker's monotonic clock — the
 supervisor timestamps the receipt and the difference becomes this
@@ -34,14 +42,19 @@ Telemetry follows the checkpoint discipline: when
 snapshots to a crash-safe spool (:mod:`repro.telemetry.spool`) — at
 every checkpoint and once more before ``done`` — so a killed worker
 loses at most the telemetry since its last checkpoint, exactly what it
-loses in lattice state.
+loses in lattice state.  Besides the runner's ``shard.*`` handles a
+worker counts its halo round trips (``shard.exchanges``, one per block
+outside replay) and times its durable saves
+(``shard.checkpoint_seconds``).
 
 :class:`InducedFault` is the runtime's chaos hook (the process-level
 sibling of :class:`repro.resilience.faults.FaultSpec`): a configured
 worker kills itself, stalls, or raises at an exact generation, so tests
 and the CI smoke job exercise real worker death instead of simulated
-corruption.  A fault at the target generation fires after the last
-step, before ``done``: the worker dies with its final slab unsent.
+corruption.  A fault at generation ``g`` fires just before the
+incarnation steps ``g``, in a replayed block too; one at the target
+generation fires after the last step, before ``done``: the worker dies
+with its final slab unsent.
 """
 
 from __future__ import annotations
@@ -56,7 +69,7 @@ import numpy as np
 
 from repro.resilience.checkpoint import CheckpointStore
 from repro.runtime.modelspec import ModelSpec
-from repro.runtime.sharding import Shard, ShardRunner
+from repro.runtime.sharding import Shard, ShardRunner, block_end
 from repro.telemetry import (
     MONOTONIC,
     NULL_RECORDER,
@@ -87,9 +100,9 @@ class InducedFault:
     worker:
         Target worker index.
     generation:
-        Fires when the worker is about to publish its boundary rows for
-        this generation, or, at the target generation, just before it
-        sends its final slab.
+        Fires just before the worker steps this generation — mid-block
+        or while replaying a block alike — or, at the target generation,
+        just before it sends its final slab.
     kind:
         ``"crash"`` (hard ``os._exit`` — models OOM-kill / segfault),
         ``"stall"`` (sleep ``seconds`` — models a hang; the watchdog
@@ -195,55 +208,79 @@ def _spool_snapshot(
         pass
 
 
-def _checkpoint(
-    store: CheckpointStore,
-    runner: ShardRunner,
-    conn: Connection,
-    recorder: Recorder,
-    spool: SpoolWriter | None,
-) -> None:
-    store.save(runner.time, runner.interior)
-    _spool_snapshot(spool, recorder, status="checkpoint", generation=runner.time)
-    conn.send(("checkpoint", runner.time))
+class _Incarnation:
+    """One incarnation's stepping state: runner, store, pipe, telemetry."""
 
+    def __init__(
+        self,
+        config: WorkerConfig,
+        conn: Connection,
+        runner: ShardRunner,
+        recorder: Recorder,
+        spool: SpoolWriter | None,
+    ):
+        self.config = config
+        self.conn = conn
+        self.runner = runner
+        self.recorder = recorder
+        self.spool = spool
+        self.store = CheckpointStore(
+            interval=config.checkpoint_interval,
+            keep=CHECKPOINT_KEEP,
+            directory=config.checkpoint_dir,
+        )
+        self._exchanges = recorder.counter("shard.exchanges")
+        self._checkpoint_timer = recorder.timer("shard.checkpoint_seconds")
 
-def _advance_to_target(
-    config: WorkerConfig,
-    conn: Connection,
-    runner: ShardRunner,
-    store: CheckpointStore,
-    recorder: Recorder,
-    spool: SpoolWriter | None,
-) -> bool:
-    """Replay buffered halos, then step to the target; False on early stop."""
-    msg = conn.recv()
-    if msg[0] == "stop":
-        return False
-    assert msg[0] == "replay", msg[0]
-    if msg[1]:
-        with recorder.span("worker.replay", generation=runner.time):
-            for generation, above, below in msg[1]:
-                assert generation == runner.time, (generation, runner.time)
-                runner.set_halos(above, below)
-                runner.step()
-                if store.due(runner.time):
-                    _checkpoint(store, runner, conn, recorder, spool)
+    def checkpoint(self) -> None:
+        runner = self.runner
+        start = self.recorder.clock()
+        self.store.save(runner.time, runner.interior)
+        self._checkpoint_timer.record(self.recorder.clock() - start)
+        _spool_snapshot(self.spool, self.recorder, status="checkpoint", generation=runner.time)
+        self.conn.send(("checkpoint", runner.time))
 
-    with recorder.span("worker.run", generation=runner.time):
-        while runner.time < config.target_generation:
-            generation = runner.time
-            _fire_induced(config, generation)
-            top, bottom = runner.boundary_rows()
-            conn.send(("boundary", generation, top, bottom))
-            msg = conn.recv()
-            if msg[0] == "stop":
-                return False
-            assert msg[0] == "halo" and msg[1] == generation, msg[:2]
-            runner.set_halos(msg[2], msg[3])
+    def run_block(self, above: np.ndarray | None, below: np.ndarray | None) -> None:
+        """Step one block from fresh halos, then checkpoint if one is due."""
+        config, runner = self.config, self.runner
+        end = block_end(
+            runner.time,
+            runner.shard.depth,
+            config.checkpoint_interval,
+            config.target_generation,
+        )
+        runner.set_halos(above, below)
+        while runner.time < end:
+            _fire_induced(config, runner.time)
             runner.step()
-            if store.due(runner.time):
-                _checkpoint(store, runner, conn, recorder, spool)
-    return True
+        if self.store.due(runner.time):
+            self.checkpoint()
+
+    def advance_to_target(self) -> bool:
+        """Replay buffered blocks, then step to the target; False on early stop."""
+        conn, runner, recorder = self.conn, self.runner, self.recorder
+        msg = conn.recv()
+        if msg[0] == "stop":
+            return False
+        assert msg[0] == "replay", msg[0]
+        if msg[1]:
+            with recorder.span("worker.replay", generation=runner.time):
+                for generation, above, below in msg[1]:
+                    assert generation == runner.time, (generation, runner.time)
+                    self.run_block(above, below)
+
+        with recorder.span("worker.run", generation=runner.time):
+            while runner.time < self.config.target_generation:
+                generation = runner.time
+                top, bottom = runner.boundary_rows()
+                conn.send(("boundary", generation, top, bottom))
+                msg = conn.recv()
+                if msg[0] == "stop":
+                    return False
+                assert msg[0] == "halo" and msg[1] == generation, msg[:2]
+                self._exchanges.add(1)
+                self.run_block(msg[2], msg[3])
+        return True
 
 
 def _worker_loop(
@@ -254,11 +291,6 @@ def _worker_loop(
 ) -> None:
     shard = config.shard
     model = config.spec.build(rows=shard.local_rows)
-    store = CheckpointStore(
-        interval=config.checkpoint_interval,
-        keep=CHECKPOINT_KEEP,
-        directory=config.checkpoint_dir,
-    )
     restored = config.initial_slab is None
     if restored:
         cp = CheckpointStore.load_latest(config.checkpoint_dir)
@@ -286,18 +318,20 @@ def _worker_loop(
                 "row_stop": shard.row_stop,
                 "halo_top": shard.halo_top,
                 "halo_bottom": shard.halo_bottom,
+                "depth": shard.depth,
             },
             target_generation=config.target_generation,
             restored_generation=runner.time if restored else None,
         )
+    worker = _Incarnation(config, conn, runner, recorder, spool)
     # The clock reading rides in ``ready`` for the alignment handshake;
     # MONOTONIC is also the spooling recorder's clock, so the offset the
     # supervisor computes applies to every span/event we record.
     conn.send(("ready", config.incarnation, runner.time, MONOTONIC()))
     if not restored:
-        _checkpoint(store, runner, conn, recorder, spool)
+        worker.checkpoint()
 
-    if not _advance_to_target(config, conn, runner, store, recorder, spool):
+    if not worker.advance_to_target():
         _spool_snapshot(spool, recorder, status="stopped", generation=runner.time)
         return
     _fire_induced(config, runner.time)

@@ -41,7 +41,7 @@ from repro.lgca.bits import unpack_channels
 from repro.lgca.observables import total_momentum
 from repro.runtime import InducedFault, SupervisorConfig, supervised_run
 from repro.runtime.modelspec import ModelSpec
-from repro.runtime.sharding import ShardRunner, plan_shards
+from repro.runtime.sharding import ShardRunner, block_end, plan_shards
 from repro.util.backoff import BackoffPolicy
 
 DIGESTS = Path(__file__).with_name("digests.json")
@@ -211,8 +211,14 @@ def test_machine_run(case, machine, backend):
     _check_engine(machine, case, backend)
 
 
-def _evolve_sharded(case: Case, workers: int, backend: str) -> np.ndarray:
-    """Whole-lattice evolution as ``workers`` slabs with in-process halo routing."""
+def _evolve_sharded(
+    case: Case, workers: int, backend: str, interval: int | None = None
+) -> np.ndarray:
+    """Whole-lattice evolution as ``workers`` slabs with in-process halo routing.
+
+    Halos are refreshed every generation, or, with ``interval``, once per
+    block of the supervised worker's schedule (:func:`block_end`).
+    """
     spec, init, mask = case.spec, case.initial_state(), case.mask()
     runners = []
     for shard in plan_shards(ROWS, workers):
@@ -228,13 +234,18 @@ def _evolve_sharded(case: Case, workers: int, backend: str) -> np.ndarray:
         )
     periodic = case.boundary == "periodic"
     n = len(runners)
-    for _ in range(GENERATIONS):
+    depth = runners[0].shard.depth
+    t = 0
+    while t < GENERATIONS:
+        end = t + 1 if interval is None else block_end(t, depth, interval, GENERATIONS)
         rows = [r.boundary_rows() for r in runners]
         for i, runner in enumerate(runners):
             above = rows[i - 1][1] if (i > 0 or periodic) else None
             below = rows[(i + 1) % n][0] if (i < n - 1 or periodic) else None
             runner.set_halos(above, below)
-            runner.step()
+            while runner.time < end:
+                runner.step()
+        t = end
     return np.concatenate([r.interior for r in runners], axis=0)
 
 
@@ -243,6 +254,15 @@ def _evolve_sharded(case: Case, workers: int, backend: str) -> np.ndarray:
 @pytest.mark.parametrize("case", SHARD_CASES, ids=_ids(SHARD_CASES))
 def test_shard_runner(case, workers, backend):
     _check(_evolve_sharded(case, workers, backend), case)
+
+
+@pytest.mark.parametrize("interval", [4, GENERATIONS])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", SHARD_CASES, ids=_ids(SHARD_CASES))
+def test_shard_runner_blocks(case, workers, interval):
+    """One halo exchange per block (depth 11, 5 and 3 at 1-3 slabs of 12
+    rows), blocks cut at checkpoints every 4 or running to full depth."""
+    _check(_evolve_sharded(case, workers, "bitplane", interval=interval), case)
 
 
 #: Short restart delays: a crashed worker respawns within milliseconds.

@@ -114,6 +114,20 @@ class TestDurableStore:
         cp = CheckpointStore.load_latest(tmp_path)
         assert cp.generation == 0
 
+    def test_every_torn_prefix_is_rejected(self, tmp_path):
+        """A file cut at any byte (a crash mid-write without the rename
+        guard) never restores: each prefix raises CheckpointError."""
+        store = CheckpointStore(directory=tmp_path)
+        store.save(8, np.arange(60, dtype=np.uint8).reshape(12, 5))
+        [path] = tmp_path.iterdir()
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(CheckpointError):
+                CheckpointStore.load_latest(tmp_path)
+        path.write_bytes(data)
+        assert CheckpointStore.load_latest(tmp_path).generation == 8
+
     def test_leftover_temp_files_are_ignored(self, tmp_path):
         store = CheckpointStore(directory=tmp_path)
         store.save(2, np.ones((2, 2), dtype=np.uint8))

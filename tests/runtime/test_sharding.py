@@ -5,8 +5,36 @@ import pytest
 
 from repro.lgca.automaton import LatticeGasAutomaton, ObstacleMap
 from repro.runtime.modelspec import ModelSpec
-from repro.runtime.sharding import BOUNDARY_ROWS, Shard, ShardRunner, plan_shards
+from repro.runtime.sharding import (
+    BOUNDARY_ROWS,
+    HALO_GENERATIONS,
+    ShardRunner,
+    block_end,
+    plan_shards,
+)
 from repro.util.errors import ConfigError
+
+
+def check_plan(rows, workers):
+    """Every planner invariant the block halo exchange relies on."""
+    shards = plan_shards(rows, workers)
+    depth = shards[0].depth
+    assert depth == min(HALO_GENERATIONS, rows // workers - 1)
+    assert BOUNDARY_ROWS == HALO_GENERATIONS + 1
+    for shard in shards:
+        assert shard.depth == depth >= 1
+        # Halos deep enough for a whole block, and no deeper than the
+        # depth + 1 boundary rows a neighbour publishes.
+        assert depth <= shard.halo_top <= depth + 1 == shard.exchange_rows
+        assert depth <= shard.halo_bottom <= depth + 1
+        # Every slab can supply a neighbour's deepest halo.
+        assert shard.slab_rows >= depth + 1
+        # Even global start row: local row parity == global row parity,
+        # which the hexagonal propagation offsets key on.
+        assert (shard.row_start - shard.halo_top) % 2 == 0
+        # Even height: a periodic FHP sub-model must be constructible.
+        assert shard.local_rows % 2 == 0
+    return shards
 
 
 class TestPlanShards:
@@ -20,14 +48,21 @@ class TestPlanShards:
 
     @pytest.mark.parametrize("rows,workers", [(16, 2), (17, 3), (23, 5), (64, 7)])
     def test_local_frames_start_even_and_are_even_tall(self, rows, workers):
-        for shard in plan_shards(rows, workers):
-            # Even global start row: local row parity == global row parity,
-            # which the hexagonal propagation offsets key on.
-            assert (shard.row_start - shard.halo_top) % 2 == 0
-            # Even height: a periodic FHP sub-model must be constructible.
-            assert shard.local_rows % 2 == 0
-            assert 1 <= shard.halo_top <= BOUNDARY_ROWS
-            assert 1 <= shard.halo_bottom <= BOUNDARY_ROWS
+        check_plan(rows, workers)
+
+    def test_every_accepted_plan_keeps_the_invariants(self):
+        """Every (rows, workers) with two rows per slab is accepted; short
+        slabs only lower the depth, down to one generation."""
+        depths = set()
+        for workers in range(1, 6):
+            for rows in range(2 * workers, 2 * workers * (HALO_GENERATIONS + 3)):
+                depths.add(check_plan(rows, workers)[0].depth)
+        assert depths == set(range(1, HALO_GENERATIONS + 1))
+
+    def test_full_depth_plan_exchanges_boundary_rows(self):
+        for shard in plan_shards(2048, 2):
+            assert shard.depth == HALO_GENERATIONS
+            assert shard.exchange_rows == BOUNDARY_ROWS
 
     def test_rejects_too_many_workers(self):
         with pytest.raises(ConfigError, match="at least"):
@@ -41,8 +76,39 @@ class TestPlanShards:
         assert idx[-1] == (shard.row_stop + shard.halo_bottom - 1) % 16
 
 
-def _evolve_sharded(spec, init, generations, workers, backend, obstacles=None):
-    """In-process sharded evolution via ShardRunner + manual halo routing."""
+class TestBlockEnd:
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("interval", [1, 3, 4, 16, 40])
+    @pytest.mark.parametrize("target", [1, 7, 33])
+    def test_blocks_tile_and_end_at_checkpoints_and_target(self, depth, interval, target):
+        starts, g = [], 0
+        while g < target:
+            end = block_end(g, depth, interval, target)
+            assert g < end <= g + depth
+            starts.append(g)
+            g = end
+        assert g == target
+        ends = set(starts[1:]) | {target}
+        # Every checkpoint generation is a block end, so a restore from any
+        # checkpoint starts a block, and its replay is whole blocks.
+        assert {c for c in range(interval, target, interval)} <= ends
+        # The schedule is a pure function of the generation: resuming at
+        # any block start gives the same blocks from there on.
+        for start in starts:
+            resumed, h = [], start
+            while h < target:
+                resumed.append(h)
+                h = block_end(h, depth, interval, target)
+            assert resumed == [b for b in starts if b >= start]
+
+
+def _evolve_sharded(
+    spec, init, generations, workers, backend, obstacles=None, interval=None
+):
+    """In-process sharded evolution via ShardRunner + manual halo routing.
+
+    Halos are refreshed every generation, or, with ``interval``, once per
+    block of the worker's schedule (:func:`block_end`)."""
     shards = plan_shards(spec.rows, workers)
     runners = []
     for shard in shards:
@@ -62,14 +128,81 @@ def _evolve_sharded(spec, init, generations, workers, backend, obstacles=None):
         )
     periodic = spec.boundary == "periodic"
     n = len(runners)
-    for _ in range(generations):
+    depth = runners[0].shard.depth
+    t = 0
+    while t < generations:
+        end = t + 1 if interval is None else block_end(t, depth, interval, generations)
         rows = [r.boundary_rows() for r in runners]
         for i, runner in enumerate(runners):
             above = rows[i - 1][1] if (i > 0 or periodic) else None
             below = rows[(i + 1) % n][0] if (i < n - 1 or periodic) else None
             runner.set_halos(above, below)
-            runner.step()
+            while runner.time < end:
+                runner.step()
+        t = end
     return np.concatenate([r.interior for r in runners], axis=0)
+
+
+def _rows_for_depth(depth, workers, boundary):
+    """A lattice height whose plan has exactly ``depth`` (even when periodic)."""
+    rows = workers * (depth + 1)
+    return rows + (rows % 2 if boundary == "periodic" else 0)
+
+
+class TestDeepHalos:
+    """One halo exchange per block keeps the slabs exact at every depth."""
+
+    @pytest.mark.parametrize("depth", range(1, HALO_GENERATIONS + 1))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("boundary", ["periodic", "null"])
+    def test_every_depth_matches_whole_lattice_run(self, depth, workers, boundary):
+        """Short lattices force each depth the planner can pick; blocks
+        run to the full depth (the checkpoint interval is longer) for
+        two blocks and a partial one, with obstacles crossing every slab
+        edge."""
+        rows = _rows_for_depth(depth, workers, boundary)
+        if plan_shards(rows, workers)[0].depth != depth:
+            # One periodic slab has depth rows - 1 (below the cap), and
+            # periodic FHP needs even rows: no plan has an even depth.
+            assert (workers, boundary, depth % 2) == (1, "periodic", 0)
+            pytest.skip("no periodic single-slab plan has this depth")
+        generations = 2 * depth + 1
+        for kind, backend in (("hpp", "reference"), ("fhp6", "bitplane"), ("fhp7", "reference")):
+            spec = ModelSpec(kind=kind, rows=rows, cols=13, boundary=boundary)
+            init = spec.initial_state(0.35, depth)
+            mask = np.random.default_rng(depth).random((rows, 13)) < 0.1
+            init[mask] = 0
+            auto = LatticeGasAutomaton(spec.build(), init.copy(), obstacles=ObstacleMap(mask))
+            auto.run(generations)
+            sharded = _evolve_sharded(
+                spec, init, generations, workers, backend, obstacles=mask, interval=64
+            )
+            assert np.array_equal(sharded, auto.state), kind
+
+    @pytest.mark.parametrize("kind", ["hpp", "fhp6", "fhp7"])
+    @pytest.mark.parametrize("boundary", ["periodic", "null"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_blocks_cut_by_checkpoints_match(self, kind, boundary, workers):
+        """Blocks shorter than the depth (checkpoint every 5) at full depth."""
+        spec = ModelSpec(kind=kind, rows=3 * 18, cols=13, boundary=boundary)
+        init = spec.initial_state(0.35, 4)
+        auto = LatticeGasAutomaton(spec.build(), init.copy())
+        auto.run(23)
+        sharded = _evolve_sharded(spec, init, 23, workers, "bitplane", interval=5)
+        assert np.array_equal(sharded, auto.state)
+
+    def test_null_edge_absorbs_every_generation(self):
+        """A particle leaving a null edge is gone: it may not bounce off an
+        obstacle in the halo beyond the edge and re-enter mid-block."""
+        spec = ModelSpec(kind="fhp6", rows=8, cols=8, boundary="null")
+        init = np.zeros((8, 8), dtype=np.uint8)
+        init[0, 3] = 0b000110  # both upward channels, about to leave
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[-3:] = True  # wraps into shard 0's top halo rows
+        auto = LatticeGasAutomaton(spec.build(), init.copy(), obstacles=ObstacleMap(mask))
+        auto.run(5)
+        sharded = _evolve_sharded(spec, init, 5, 1, "reference", obstacles=mask, interval=8)
+        assert np.array_equal(sharded, auto.state)
 
 
 class TestShardRunnerBitIdentity:

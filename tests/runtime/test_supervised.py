@@ -11,11 +11,12 @@ backend and replayed the same way.
 import numpy as np
 import pytest
 
-from repro.lgca.automaton import LatticeGasAutomaton
+from repro.lgca.automaton import LatticeGasAutomaton, ObstacleMap
 from repro.runtime import (
     InducedFault,
     ModelSpec,
     SupervisorConfig,
+    plan_shards,
     supervised_run,
 )
 from repro.telemetry import StepClock
@@ -195,6 +196,70 @@ class TestCheckpointRestart:
         for event, attempt in zip(report.restarts, range(2)):
             base = FAST_BACKOFF.base(attempt)
             assert base * 0.9 <= event.delay <= min(base * 1.1, 0.3)
+
+
+class TestDeepHalos:
+    """Workers exchange halos once per block: runs at every kind of depth,
+    with a crash inside a block and one at the final generation."""
+
+    # (kind, boundary, workers, depth, obstacles, backend)
+    CASES = [
+        ("hpp", "null", 3, 1, False, "reference"),
+        ("fhp6", "periodic", 2, 2, True, "bitplane"),
+        ("fhp7", "null", 2, 3, True, "reference"),
+        ("fhp6", "null", 1, 5, False, "bitplane"),
+        ("fhp7", "periodic", 3, 7, True, "bitplane"),
+        ("hpp", "periodic", 2, 16, True, "reference"),
+    ]
+
+    @staticmethod
+    def run(kind, boundary, workers, depth, obstacles, backend, crash_at):
+        rows = workers * (depth + 1)
+        rows += rows % 2 if boundary == "periodic" else 0
+        spec = ModelSpec(kind=kind, rows=rows, cols=12, boundary=boundary)
+        assert plan_shards(rows, workers)[0].depth == depth
+        generations = 3 * depth + 2
+        init = spec.initial_state(0.3, depth)
+        mask = None
+        if obstacles:
+            mask = np.random.default_rng(depth).random((rows, 12)) < 0.1
+            init[mask] = 0
+        auto = LatticeGasAutomaton(
+            spec.build(), init.copy(),
+            obstacles=None if mask is None else ObstacleMap(mask),
+        )
+        auto.run(generations)
+        fault = InducedFault(worker=workers - 1, generation=crash_at(depth, generations),
+                             kind="crash")
+        state, report = supervised_run(
+            config(
+                spec,
+                generations=generations,
+                num_workers=workers,
+                backend=backend,
+                initial_state=init,
+                obstacles=mask,
+                # Blocks [0, d) and [d, 2d) end at the checkpoint at 2d.
+                checkpoint_interval=2 * depth,
+                induced=(fault,),
+            )
+        )
+        assert report.outcome == "complete", report.reason
+        assert [r.worker for r in report.restarts] == [workers - 1]
+        assert np.array_equal(state, auto.state)
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c[:4])))
+    def test_crash_inside_a_block(self, case):
+        """The crash lands in block [d, 2d) (at its start when d = 1); the
+        new incarnation restores generation 0 and replays whole blocks,
+        the crash point included."""
+        self.run(*case, crash_at=lambda d, g: d + d // 2)
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c[:4])))
+    def test_crash_at_the_final_generation(self, case):
+        """The restart restores the last checkpoint and replays whole
+        blocks, the short one ending at the target included."""
+        self.run(*case, crash_at=lambda d, g: g)
 
 
 class TestWorkerError:

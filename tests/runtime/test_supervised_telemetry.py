@@ -85,8 +85,14 @@ class TestCleanRunTelemetry:
         # Every worker steps GENS generations; the merged counter is the
         # whole fleet's work.
         assert merged.counters["shard.generations"] == 2 * GENS
-        for name in ("shard.step_seconds", "shard.halo_seconds"):
-            assert merged.timers[name]["count"] == 2 * GENS
+        assert merged.timers["shard.step_seconds"]["count"] == 2 * GENS
+        # Halos are exchanged once per block: the checkpoint interval of 4
+        # ends every block, so 3 round trips per worker, and 4 durable
+        # saves per worker (generations 0, 4, 8 and 12).
+        blocks = GENS // 4
+        assert merged.timers["shard.halo_seconds"]["count"] == 2 * blocks
+        assert merged.counters["shard.exchanges"] == 2 * blocks
+        assert merged.timers["shard.checkpoint_seconds"]["count"] == 2 * (blocks + 1)
         # Per-process attribution survives the fold.
         for p in merged.processes[1:]:
             assert p["kind"] == "worker"

@@ -1,6 +1,10 @@
 """Package-level contracts: version, exports, subpackage imports."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +57,38 @@ class TestPackage:
         ):
             for name in order:
                 importlib.reload(importlib.import_module(name))
+
+
+def _modules_after(code: str) -> set[str]:
+    """Names in ``sys.modules`` after running ``code`` in a fresh interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(' '.join(sys.modules))"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def _loaded(modules: set[str], *packages: str) -> list[str]:
+    """The loaded modules that are, or are inside, one of ``packages``."""
+    return sorted(m for m in modules for p in packages if m == p or m.startswith(p + "."))
+
+
+class TestStartUpImports:
+    """A verb pays at start-up only for what it runs (no SciPy anywhere)."""
+
+    def test_simulate_leaves_scipy_out(self):
+        loaded = _modules_after(
+            "from repro.cli import main\n"
+            "main(['simulate', '--rows', '8', '--cols', '8', '--steps', '1'])"
+        )
+        assert "repro.cli" in loaded
+        assert _loaded(loaded, "scipy", "networkx") == []
+
+    def test_worker_does_not_load_the_machine_registry(self):
+        loaded = _modules_after("import repro.runtime.worker")
+        assert "repro.runtime.worker" in loaded
+        assert _loaded(
+            loaded, "scipy", "repro.machines", "repro.core", "repro.resilience.campaign"
+        ) == []
