@@ -194,7 +194,7 @@ class BitplaneStepper:
 
     def load(self, state: np.ndarray) -> None:
         state = self.model.check_state(state)  # type: ignore[attr-defined]
-        self._src[...] = self.kernel.pack(state)
+        self.kernel.pack(state, out=self._src)
 
     def advance(self, t: int) -> None:
         t_start = self._clk()
@@ -207,7 +207,7 @@ class BitplaneStepper:
         return self.kernel.unpack(self._src[:, start:stop])
 
     def write_rows(self, start: int, rows: np.ndarray) -> None:
-        self._src[:, start : start + len(rows)] = self.kernel.pack(rows)
+        self.kernel.pack(rows, out=self._src[:, start : start + len(rows)])
 
     def clear_rows(self, start: int, stop: int) -> None:
         self._src[:, start:stop] = 0

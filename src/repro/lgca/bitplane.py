@@ -15,13 +15,14 @@ The collision logic is **derived mechanically** from the verified
 :class:`repro.lgca.collision.CollisionTable`: every state ``s`` the table
 changes contributes one *flip term* (``s`` and the channels
 ``s ^ table[s]``).  :func:`compile_network` groups the terms by flip
-set, merges each group's states into cubes, and emits one straight-line
-program of full-plane ops (a :class:`CollisionNetwork`) that writes each
-output channel as an XOR chain over the groups flipping it.  The kernel
-runs that program over cache-sized row blocks; construction re-checks
-it by running the same program over all ``2^C`` states
-(:func:`verify_plane_logic`).  Any conserving rule set — HPP, the FHP
-chirality variants, the collision-saturated tables — compiles this way.
+set, merges each group's states into cubes, shares products across
+cubes and flip ORs across channels, and emits one straight-line program
+of full-plane ops (a :class:`CollisionNetwork`) that writes each output
+channel as ``in ^ flip``.  The kernel runs that program over
+cache-sized row blocks; construction re-checks it by running the same
+program over all ``2^C`` states (:func:`verify_plane_logic`).  Any
+conserving rule set — HPP, the FHP chirality variants, the
+collision-saturated tables — compiles this way.
 
 Storage layout: bit ``j`` of word ``w`` of row ``r`` in a plane is lattice
 site ``(r, 64*w + j)``.  Bits at column positions ``>= cols`` (the tail
@@ -107,7 +108,7 @@ def _bytes_to_words(buf: np.ndarray) -> np.ndarray:
 
 
 def _words_to_bytes(words: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_bytes_to_words` (words must be C-contiguous)."""
+    """Inverse of :func:`_bytes_to_words` (the last axis must be contiguous)."""
     if _LITTLE_ENDIAN:
         return words.view(np.uint8)
     buf = np.empty(words.shape[:-1] + (words.shape[-1] * 8,), dtype=np.uint8)
@@ -127,11 +128,36 @@ def pack_plane(bits: np.ndarray) -> np.ndarray:
     if bits.ndim != 2:
         raise ValueError("plane must be 2-D")
     rows, cols = bits.shape
-    w = num_words(cols)
-    packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
-    buf = np.zeros((rows, w * 8), dtype=np.uint8)
-    buf[:, : packed.shape[1]] = packed
-    return _bytes_to_words(buf)
+    if bits.dtype != bool:
+        bits = bits.astype(np.uint8, copy=False)
+    words = np.empty((rows, num_words(cols)), dtype=np.uint64)
+    _store_bytes(np.packbits(bits, axis=1, bitorder="little"), words)
+    return words
+
+
+def _store_bytes(packed: np.ndarray, words: np.ndarray) -> None:
+    """Write little-endian bytes ``(..., n)`` into ``words`` ``(..., W)``.
+
+    Bytes past ``n`` (up to ``8*W``) are zeroed.  ``words`` may be any
+    view whose last axis is contiguous, such as a row range of planes.
+    """
+    n = packed.shape[-1]
+    if _LITTLE_ENDIAN:
+        dst = words.view(np.uint8)
+        dst[..., :n] = packed
+        if n < dst.shape[-1]:
+            dst[..., n:] = 0
+        return
+    buf = np.zeros(packed.shape[:-1] + (words.shape[-1] * 8,), dtype=np.uint8)
+    buf[..., :n] = packed
+    words[...] = _bytes_to_words(buf)
+
+
+def _complement_into(words: np.ndarray, cols: int, out: np.ndarray) -> np.ndarray:
+    """``out = ~words`` with the tail padding kept clear; returns ``out``."""
+    np.invert(words, out=out)
+    out[:, -1] &= _tail_mask(cols)
+    return out
 
 
 def unpack_plane(words: np.ndarray, cols: int) -> np.ndarray:
@@ -215,33 +241,54 @@ def _join_channels(bits: np.ndarray, out: np.ndarray) -> None:
             flat[n8:] |= bits[ch, n8:]
 
 
-def pack_state(state: np.ndarray, num_channels: int) -> np.ndarray:
-    """Pack an integer site-state field into ``(C, rows, W)`` bit-planes."""
+#: Sites per row block of :func:`pack_state` and :func:`unpack_state`.
+#: A block's channel bytes (``C`` per site, under 0.5 MiB) are all the
+#: memory a conversion takes beyond its output.
+_CONVERT_SITES = 1 << 16
+
+
+def _convert_blocks(rows: int, cols: int) -> range:
+    """Start rows of the conversion row blocks (``_CONVERT_SITES`` each)."""
+    return range(0, rows, max(1, _CONVERT_SITES // cols))
+
+
+def pack_state(
+    state: np.ndarray, num_channels: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Pack an integer site-state field into ``(C, rows, W)`` bit-planes.
+
+    ``out``, if given, is written instead of a fresh array; any view of
+    that shape with contiguous rows will do (a row range of a plane
+    buffer, say).  The field is converted in row blocks, so the only
+    other memory taken is one block's channel bytes.
+    """
     state = np.asarray(state)
     if state.ndim != 2:
         raise ValueError("state must be 2-D")
     rows, cols = state.shape
-    w = num_words(cols)
-    if num_channels <= 8:
-        # Fast path: byte-lane channel split, then one packbits pass.
-        state8 = np.ascontiguousarray(state, dtype=np.uint8)
-        bits = np.empty((num_channels, rows * cols), dtype=np.uint8)
-        _split_channels(state8, bits)
+    shape = (num_channels, rows, num_words(cols))
+    if out is None:
+        out = np.empty(shape, dtype=np.uint64)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    starts = _convert_blocks(rows, cols)
+    bits = np.empty((num_channels, min(starts.step, rows) * cols), dtype=np.uint8)
+    for r0 in starts:
+        r1 = min(r0 + starts.step, rows)
+        block = bits[:, : (r1 - r0) * cols]
+        if num_channels <= 8:
+            # Byte-lane channel split of the whole block at once.
+            _split_channels(np.ascontiguousarray(state[r0:r1], dtype=np.uint8), block)
+        else:
+            for ch in range(num_channels):
+                chbits = block[ch].reshape(r1 - r0, cols)
+                np.right_shift(state[r0:r1], ch, out=chbits, casting="unsafe")
+                chbits &= np.uint8(1)
         packed = np.packbits(
-            bits.reshape(num_channels, rows, cols), axis=2, bitorder="little"
+            block.reshape(num_channels, r1 - r0, cols), axis=2, bitorder="little"
         )
-        if packed.shape[2] == w * 8:  # word-aligned: no padding copy needed
-            return _bytes_to_words(packed)
-        buf = np.zeros((num_channels, rows, w * 8), dtype=np.uint8)
-        buf[:, :, : packed.shape[2]] = packed
-        return _bytes_to_words(buf)
-    planes = np.zeros((num_channels, rows, w), dtype=np.uint64)
-    chbits = np.empty((rows, cols), dtype=np.uint8)
-    for ch in range(num_channels):
-        np.right_shift(state, ch, out=chbits, casting="unsafe")
-        chbits &= np.uint8(1)
-        planes[ch] = pack_plane(chbits)
-    return planes
+        _store_bytes(packed, out[:, r0:r1])
+    return out
 
 
 def unpack_state(
@@ -249,9 +296,11 @@ def unpack_state(
 ) -> np.ndarray:
     """Inverse of :func:`pack_state`: bit-planes to a packed site field.
 
-    Returns dtype uint8 for <= 8 channels, uint16 otherwise.
+    Returns dtype uint8 for <= 8 channels, uint16 otherwise.  ``planes``
+    may be any view with contiguous rows and ``out`` must be
+    C-contiguous.  Like :func:`pack_state`, it converts in row blocks.
     """
-    planes = np.ascontiguousarray(planes, dtype=np.uint64)
+    planes = np.asarray(planes, dtype=np.uint64)
     num_channels, rows, w = planes.shape
     dtype: type = np.uint8 if num_channels <= 8 else np.uint16
     if out is None:
@@ -259,20 +308,23 @@ def unpack_state(
     else:
         if out.shape != (rows, cols):
             raise ValueError(f"out has shape {out.shape}, expected {(rows, cols)}")
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
         dtype = out.dtype.type
-    # count=cols keeps the unpacked planes contiguous (tail bits dropped).
-    bits = np.unpackbits(
-        _words_to_bytes(planes).reshape(num_channels, rows, w * 8),
-        axis=2,
-        bitorder="little",
-        count=cols,
-    )
-    if dtype == np.uint8:
-        _join_channels(bits.reshape(num_channels, rows * cols), out)
-        return out
-    out[...] = 0
-    for ch in range(num_channels):
-        out |= bits[ch].astype(dtype) << dtype(ch)
+    starts = _convert_blocks(rows, cols)
+    for r0 in starts:
+        r1 = min(r0 + starts.step, rows)
+        # count=cols keeps the unpacked planes contiguous (tail bits dropped).
+        bits = np.unpackbits(
+            _words_to_bytes(planes[:, r0:r1]), axis=2, bitorder="little", count=cols
+        )
+        if dtype == np.uint8:
+            _join_channels(bits.reshape(num_channels, -1), out[r0:r1])
+            continue
+        block = out[r0:r1]
+        block[...] = 0
+        for ch in range(num_channels):
+            block |= bits[ch].astype(dtype) << dtype(ch)
     return out
 
 
@@ -355,8 +407,9 @@ def split_chirality_terms(
 
 #: Bytes of one plane's row block: 256 rows at 2048 columns.  The
 #: network runs block by block, so the input, output, mask and temporary
-#: planes of a block (31 of them, about 2 MiB, for FHP-7) stay in L2
-#: across the program's passes.
+#: planes of a block (37 of them, about 2.3 MiB, for FHP-7) stay in the
+#: L2 and nearby L3 across the program's passes.  Blocks of 32, 48, 96
+#: and 128 KiB measured no faster.
 BLOCK_BYTES = 64 * 1024
 
 #: Mask registers after the ``2·C`` input and output planes.
@@ -422,57 +475,114 @@ def _flip_groups(
     return groups
 
 
-class _Emitter:
-    """Builds the straight-line program in SSA form.
+def _pair(x: int, y: int) -> tuple[int, int]:
+    return (x, y) if x < y else (y, x)
 
-    Fixed registers are ints and computed values ``("v", n)`` tuples.
-    Complements are emitted on first use and cube products on memoised
-    literal prefixes (literals in channel order), so cubes sharing a
-    prefix share its ANDs.
+
+class _Emitter:
+    """Records the network as a hash-consed DAG, then emits it in demand order.
+
+    Values are ints.  Registers (input planes and masks) are leaves; each
+    computed value ``v`` has one definition ``defs[v] = (ufunc, a, b)``,
+    ``b < 0`` marking the complement.  :meth:`op` returns the existing
+    value for an op it has seen, so a product or OR requested twice is
+    computed once.
     """
 
-    def __init__(self, num_channels: int):
-        self.num_channels = num_channels
-        self.ops: list[tuple[np.ufunc, object, object, object]] = []
-        self._values = itertools.count()
-        self._complements: dict[int, object] = {}
-        self._products: dict[tuple[tuple[int, bool], ...], object] = {}
+    def __init__(self, first_value: int):
+        self.defs: dict[int, tuple[np.ufunc, int, int]] = {}
+        self._memo: dict[tuple[np.ufunc, int, int], int] = {}
+        self._next = first_value
 
-    def emit(self, fn: np.ufunc, a: object, b: object = -1, dst: object = None) -> object:
-        if dst is None:
-            dst = ("v", next(self._values))
-        self.ops.append((fn, a, b, dst))
-        return dst
+    def op(self, fn: np.ufunc, a: int, b: int = -1) -> int:
+        if b >= 0 and a > b:  # every binary op here commutes
+            a, b = b, a
+        key = (fn, a, b)
+        if key not in self._memo:
+            self._memo[key] = self._next
+            self.defs[self._next] = key
+            self._next += 1
+        return self._memo[key]
 
-    def literal(self, ch: int, positive: bool) -> object:
-        if positive:
-            return ch
-        if ch not in self._complements:
-            self._complements[ch] = self.emit(np.bitwise_not, ch)
-        return self._complements[ch]
+    def extract(self, fn: np.ufunc, sets: list[set[int]]) -> list[int]:
+        """Reduce each set of values to one value under the associative ``fn``.
 
-    def product(self, cube: Cube) -> object:
-        value, care = cube
-        literals = tuple(
-            (ch, bool(value >> ch & 1))
-            for ch in range(self.num_channels)
-            if care >> ch & 1
-        )
-        acc = self.literal(*literals[0])
-        for i in range(2, len(literals) + 1):
-            prefix = literals[:i]
-            if prefix not in self._products:
-                self._products[prefix] = self.emit(
-                    np.bitwise_and, acc, self.literal(*prefix[-1])
-                )
-            acc = self._products[prefix]
-        return acc
+        Greedy common-subexpression extraction: while some pair of values
+        occurs together in two or more sets, the most frequent pair
+        (smallest values on ties) becomes one new value, which replaces
+        the pair in every set holding both.  Pair counts are updated
+        incrementally and the next pair comes off a lazy max-heap.  Each
+        set's remaining values are then chained, computed values first,
+        so every op of a chain has a temporary operand to overwrite.
+        """
+        sets = [set(s) for s in sets]
+        holding: dict[int, set[int]] = {}  # value -> indices of the sets holding it
+        counts: dict[tuple[int, int], int] = {}
+        for i, s in enumerate(sets):
+            for v in s:
+                holding.setdefault(v, set()).add(i)
+            for pair in itertools.combinations(sorted(s), 2):
+                counts[pair] = counts.get(pair, 0) + 1
+        heap = [(-n, pair) for pair, n in counts.items() if n > 1]
+        heapq.heapify(heap)
+        while heap:
+            n, pair = heapq.heappop(heap)
+            if counts[pair] != -n:  # stale: the pair has lost sets since
+                if counts[pair] > 1:
+                    heapq.heappush(heap, (-counts[pair], pair))
+                continue
+            a, b = pair
+            value = self.op(fn, a, b)
+            won = set()
+            holders = holding.setdefault(value, set())
+            for i in holding[a] & holding[b] - holders:
+                s = sets[i]
+                holding[a].discard(i)
+                holding[b].discard(i)
+                holders.add(i)
+                s -= {a, b}
+                counts[pair] -= 1
+                for x in s:
+                    counts[_pair(a, x)] -= 1
+                    counts[_pair(b, x)] -= 1
+                    key = _pair(value, x)
+                    counts[key] = counts.get(key, 0) + 1
+                    won.add(key)
+                s.add(value)
+            for key in won:
+                if counts[key] > 1:
+                    heapq.heappush(heap, (-counts[key], key))
+        reduced = []
+        for s in sets:
+            first, *rest = sorted(s, key=lambda v: (v not in self.defs, -v))
+            for v in rest:
+                first = self.op(fn, first, v)
+            reduced.append(first)
+        return reduced
 
-    def any_of(self, cubes: list[Cube]) -> object:
-        acc = self.product(cubes[0])
-        for cube in cubes[1:]:
-            acc = self.emit(np.bitwise_or, acc, self.product(cube))
-        return acc
+    def schedule(self, sinks: list[tuple[np.ufunc, int, int, int]]) -> list:
+        """Ops computing ``sinks``, each a ``(ufunc, a, b, register)``, in order.
+
+        Every value is emitted depth-first on its first demand, just
+        before the sink that first needs it, so a shared value is
+        computed no earlier than it must be.
+        """
+        ops: list = []
+
+        def visit(v: int) -> None:
+            if v in self.defs and v not in emitted:
+                emitted.add(v)
+                fn, a, b = self.defs[v]
+                visit(a)
+                visit(b)
+                ops.append((fn, a, b, v))
+
+        emitted: set[int] = set()
+        for fn, a, b, dst in sinks:
+            visit(a)
+            visit(b)
+            ops.append((fn, a, b, dst))
+        return ops
 
 
 @dataclass(frozen=True)
@@ -535,33 +645,40 @@ class CollisionNetwork:
 
 
 def _allocate(ops: list, num_channels: int) -> CollisionNetwork:
-    """Map SSA values onto a temporary pool by liveness.
+    """Map computed values onto a temporary pool by liveness.
 
-    A value's temporary returns to the pool at its last read, and may be
-    the destination of that very op (NumPy element-wise ops allow it).
+    Ints below the first temporary are registers; larger ones are values
+    of :class:`_Emitter`.  A value's temporary returns to the pool at its
+    last read, and an op whose operand dies there writes over that
+    operand (NumPy element-wise ops allow it), which saves the op a
+    third plane stream.
     """
     first_temp = 2 * num_channels + _NUM_MASKS
-    last_read: dict[object, int] = {}
+    last_read: dict[int, int] = {}
     for i, (_, a, b, _) in enumerate(ops):
         for v in (a, b):
-            if isinstance(v, tuple):
+            if v >= first_temp:
                 last_read[v] = i
-    slots: dict[object, int] = {}
+    slots: dict[int, int] = {}
     free: list[int] = []
     num_temps = 0
     program = []
     for i, (fn, a, b, dst) in enumerate(ops):
-        ra, rb = (first_temp + slots[v] if isinstance(v, tuple) else v for v in (a, b))
-        for v in {a, b}:
-            if isinstance(v, tuple) and last_read[v] == i:
-                heapq.heappush(free, slots.pop(v))
-        if isinstance(dst, tuple):
-            if free:
+        ra, rb = (first_temp + slots[v] if v >= first_temp else v for v in (a, b))
+        dying = [
+            slots.pop(v) for v in dict.fromkeys((a, b)) if v >= first_temp and last_read[v] == i
+        ]
+        if dst >= first_temp:
+            if dying:
+                slots[dst] = dying.pop(0)
+            elif free:
                 slots[dst] = heapq.heappop(free)
             else:
                 slots[dst] = num_temps
                 num_temps += 1
             dst = first_temp + slots[dst]
+        for slot in dying:
+            heapq.heappush(free, slot)
         program.append((fn, ra, rb, dst))
     return CollisionNetwork(num_channels, tuple(program), num_temps)
 
@@ -576,45 +693,80 @@ def compile_network(
     """Compile (common, left-only, right-only) flip terms to a network.
 
     States are grouped by flip set, and each group's states merged into
-    a minimum set of cubes; a chiral group may also cover the common
-    states of its flip set, which the common signal flips anyway.  A
-    group's signal is ``common | left & L | right & R`` (each part only
-    where present), and output channel ``ch`` is the XOR chain
-    ``in[ch] ^ g1 ^ g2 ...`` over the groups flipping it.  The signals
-    are disjoint at every site as long as the masks ``L`` and ``R``
-    partition the sites, so no flip accumulator is needed.  With
-    ``opposite`` (an obstacle map is present), solid sites then take
-    the bounce-back ``in[opposite[ch]]``.
+    a minimum set of cubes.  A chiral side may also cover the common
+    states of its flip set, which the common part flips anyway; a common
+    state both sides cover is flipped under either mask and gets no
+    common cube.  The network is then built as a DAG in three shared
+    layers:
+
+    - **Products.**  Every distinct cube is the AND of its literals,
+      and :meth:`_Emitter.extract` shares the literal pairs that occur
+      in the most cubes, across all groups.
+    - **Terms.**  A group's terms are its common cubes and one term
+      per chiral side, ``(OR of the side's cubes) & mask``, the side
+      ORs extracted together.
+    - **Flips.**  ``flip[ch]`` is the OR of the terms of every group
+      flipping ``ch``, extracted across channels, and ``out[ch] =
+      in[ch] ^ flip[ch]``.  At most one group's terms are set at any
+      site as long as the masks ``L`` and ``R`` partition the sites,
+      so OR is the sum of the flips.
+
+    With ``opposite`` (an obstacle map is present), solid sites then
+    take the bounce-back ``in[opposite[ch]]``.  The DAG is emitted in
+    demand order (:meth:`_Emitter.schedule`) and its values mapped to
+    temporaries by liveness (:func:`_allocate`).
     """
-    em = _Emitter(num_channels)
-    masks = 2 * num_channels
-    written: set[int] = set()
+    c = num_channels
+    masks = 2 * c
+    em = _Emitter(masks + _NUM_MASKS)
+    covers: list[tuple[int, int | None, list[Cube]]] = []  # (flips, mask, cubes)
     for flips, (on_common, on_left, on_right) in _flip_groups(common, left, right).items():
-        parts = []
-        if on_common:
-            parts.append(em.any_of(_minimum_cover(on_common, set(), num_channels)))
+        reached = []  # the common states each side's cubes also cover
         for on, mask in ((on_left, _LEFT), (on_right, _RIGHT)):
-            if on:
-                side = em.any_of(_minimum_cover(on, on_common, num_channels))
-                parts.append(em.emit(np.bitwise_and, side, masks + mask))
-        signal = parts[0]
-        for part in parts[1:]:
-            signal = em.emit(np.bitwise_or, signal, part)
-        for ch in range(num_channels):
-            if flips >> ch & 1:
-                src = num_channels + ch if ch in written else ch
-                em.emit(np.bitwise_xor, src, signal, dst=num_channels + ch)
-                written.add(ch)
-    for ch in range(num_channels):
-        if ch not in written:  # a channel no state flips: plain copy
-            em.emit(np.bitwise_or, ch, ch, dst=num_channels + ch)
+            cover = _minimum_cover(on, on_common, c) if on else []
+            if cover:
+                covers.append((flips, masks + mask, cover))
+            reached.append({s for s in on_common if any(s & k == v for v, k in cover)})
+        # A common state both sides cover is flipped under either mask.
+        rest = on_common - (reached[0] & reached[1])
+        if rest:
+            covers.append((flips, None, _minimum_cover(rest, on_common - rest, c)))
+
+    def literals(cube: Cube) -> set[int]:
+        value, care = cube
+        return {
+            ch if value >> ch & 1 else em.op(np.bitwise_not, ch)
+            for ch in range(c)
+            if care >> ch & 1
+        }
+
+    cubes = sorted({cube for *_, cover in covers for cube in cover})
+    product = dict(zip(cubes, em.extract(np.bitwise_and, [literals(q) for q in cubes])))
+    terms = [
+        (flips, product[q]) for flips, mask, cover in covers if mask is None for q in cover
+    ]
+    sides = [(flips, mask, cover) for flips, mask, cover in covers if mask is not None]
+    side_any = em.extract(np.bitwise_or, [{product[q] for q in cover} for *_, cover in sides])
+    terms += [
+        (flips, em.op(np.bitwise_and, v, mask)) for (flips, mask, _), v in zip(sides, side_any)
+    ]
+    flip_sets = [{v for flips, v in terms if flips >> ch & 1} for ch in range(c)]
+    flipped = [ch for ch in range(c) if flip_sets[ch]]
+    flip = dict(zip(flipped, em.extract(np.bitwise_or, [flip_sets[ch] for ch in flipped])))
+    sinks = [
+        (np.bitwise_xor, ch, flip[ch], c + ch) if ch in flip
+        else (np.bitwise_or, ch, ch, c + ch)  # a channel no state flips: plain copy
+        for ch in range(c)
+    ]
     if opposite is not None:
-        for ch in range(num_channels):
-            out = num_channels + ch
-            em.emit(np.bitwise_and, out, masks + _NOT_SOLID, dst=out)
-            bounced = em.emit(np.bitwise_and, opposite[ch], masks + _SOLID)
-            em.emit(np.bitwise_or, out, bounced, dst=out)
-    return _allocate(em.ops, num_channels)
+        for ch in range(c):
+            out = c + ch
+            bounced = em.op(np.bitwise_and, opposite[ch], masks + _SOLID)
+            sinks += [
+                (np.bitwise_and, out, masks + _NOT_SOLID, out),
+                (np.bitwise_or, out, bounced, out),
+            ]
+    return _allocate(em.schedule(sinks), c)
 
 
 def verify_plane_logic(
@@ -785,11 +937,9 @@ class BitplaneKernel:
 
         # -- masks -------------------------------------------------------------
         if self._chirality == "alternate":
-            even = model.chirality_field(0)
-            odd = model.chirality_field(1)
-            self._alt_masks = (
-                (pack_plane(even), pack_plane(~even)),
-                (pack_plane(odd), pack_plane(~odd)),
+            lefts = [pack_plane(model.chirality_field(t)) for t in (0, 1)]
+            self._alt_masks = tuple(
+                (left, _complement_into(left, self.cols, np.empty_like(left))) for left in lefts
             )
         mask = getattr(obstacles, "mask", obstacles)
         self._solid: np.ndarray | None = None
@@ -802,7 +952,7 @@ class BitplaneKernel:
                     f"obstacle shape {mask.shape} != grid shape {(rows, self.cols)}"
                 )
             self._solid = pack_plane(mask)
-            self._not_solid = pack_plane(~mask)
+            self._not_solid = _complement_into(self._solid, self.cols, np.empty_like(self._solid))
             opposite = opposite_channels(self.num_channels)
 
         # -- the collision network, compiled and cross-checked ---------------
@@ -836,9 +986,9 @@ class BitplaneKernel:
             (self.num_channels, self.rows, self.words), dtype=np.uint64
         )
 
-    def pack(self, state: np.ndarray) -> np.ndarray:
-        """Pack a site-state field into fresh bit-planes."""
-        return pack_state(state, self.num_channels)
+    def pack(self, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Pack a site-state field into bit-planes (``out`` or fresh ones)."""
+        return pack_state(state, self.num_channels, out=out)
 
     def unpack(self, planes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Unpack bit-planes back into a uint8 site-state field."""
@@ -854,10 +1004,7 @@ class BitplaneKernel:
         # The model's draw is already in plane layout: it is the left
         # mask.  random_raw has no out=, so it is a fresh 1 bit per site.
         left = self.model.chirality_words(t)  # type: ignore[union-attr]
-        right = self._rand_right
-        np.invert(left, out=right)
-        right[:, -1] &= _tail_mask(self.cols)
-        return left, right
+        return left, _complement_into(left, self.cols, self._rand_right)
 
     def collide_into(
         self, planes_in: np.ndarray, planes_out: np.ndarray, t: int = 0

@@ -1,10 +1,15 @@
 """Unit tests for the multi-spin coded (bit-plane) kernels."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.lgca import bitplane
 from repro.lgca.automaton import ObstacleMap
 from repro.lgca.bitplane import (
     BLOCK_BYTES,
@@ -34,6 +39,8 @@ from repro.lgca.hpp import HPPModel, hpp_collision_table
 # Column counts probing word boundaries: below one word, exactly one
 # word, one bit over, mid-word tails, exact multiples.
 EDGE_COLS = [1, 5, 63, 64, 65, 100, 128, 130]
+
+_FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def random_bits(rows, cols, seed=0):
@@ -100,6 +107,34 @@ class TestPackUnpack:
             pack_plane(np.zeros(8, dtype=np.uint8))
         with pytest.raises(ValueError):
             unpack_plane(np.zeros((2, 2), dtype=np.uint64), 300)
+        with pytest.raises(ValueError, match="out has shape"):
+            pack_state(np.zeros((2, 8), dtype=np.uint8), 4, out=np.empty((4, 3, 1), np.uint64))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            unpack_state(np.zeros((4, 2, 1), dtype=np.uint64), 8,
+                         out=np.empty((2, 16), dtype=np.uint8)[:, ::2])
+
+    @pytest.mark.parametrize("cols", [1, 63, 64, 100, 130])
+    @pytest.mark.parametrize("channels", [6, 7, 9])
+    def test_state_roundtrip_across_row_blocks(self, monkeypatch, cols, channels):
+        # Blocks of a few rows, ending mid-field: every row-block edge
+        # of the conversion is crossed.
+        monkeypatch.setattr(bitplane, "_CONVERT_SITES", 3 * cols)
+        rng = np.random.default_rng(cols + channels)
+        dtype = np.uint8 if channels <= 8 else np.uint16
+        state = rng.integers(0, 1 << channels, size=(11, cols)).astype(dtype)
+        planes = pack_state(state, channels)
+        for ch in range(channels):
+            assert np.array_equal(planes[ch], pack_plane((state >> ch) & 1))
+        assert np.array_equal(unpack_state(planes, cols), state)
+
+    def test_pack_into_a_row_range_of_planes(self):
+        state = np.random.default_rng(5).integers(0, 128, size=(10, 100)).astype(np.uint8)
+        planes = np.full((7, 16, num_words(100)), _FULL_WORD, dtype=np.uint64)
+        result = pack_state(state, 7, out=planes[:, 3:13])
+        assert result.base is planes
+        assert np.array_equal(planes[:, 3:13], pack_state(state, 7))
+        assert np.all(planes[:, :3] == _FULL_WORD) and np.all(planes[:, 13:] == _FULL_WORD)
+        assert np.array_equal(unpack_state(planes[:, 3:13], 100), state)
 
 
 class TestFlipTerms:
@@ -186,7 +221,7 @@ class TestCollisionNetwork:
         table = hpp_collision_table()
         verify_plane_logic(table, BitplaneKernel(HPPModel(2, 64)).network)
 
-    @pytest.mark.parametrize("variant", ["fhp6", "fhp7"])
+    @pytest.mark.parametrize("variant", ["fhp6", "fhp7", "fhp-sat"])
     def test_every_corrupted_op_is_rejected(self, variant):
         swap = {np.bitwise_and: np.bitwise_or, np.bitwise_or: np.bitwise_and,
                 np.bitwise_xor: np.bitwise_and}
@@ -203,18 +238,46 @@ class TestCollisionNetwork:
                 verify_plane_logic(left, dataclasses.replace(network, ops=ops), right)
 
     @pytest.mark.parametrize(
-        "model, bound",
+        "model, bound, temps",
         [
-            (HPPModel(2, 64), 15),
-            (_fhp(2, 64, "fhp6"), 56),
-            (_fhp(2, 64, "fhp7"), 123),
-            (_fhp(2, 64, "fhp-sat"), 353),
+            (HPPModel(2, 64), 15, 3),
+            (_fhp(2, 64, "fhp6"), 46, 12),
+            (_fhp(2, 64, "fhp7"), 91, 21),
+            (_fhp(2, 64, "fhp-sat"), 220, 39),
         ],
         ids=["hpp", "fhp6", "fhp7", "fhp-sat"],
     )
-    def test_collide_ops_pinned(self, model, bound):
+    def test_collide_ops_pinned(self, model, bound, temps):
         kernel = BitplaneKernel(model)
         assert kernel.collide_ops == len(kernel.network.ops) <= bound
+        assert kernel.network.num_temps <= temps
+
+    def test_compilation_ignores_the_hash_seed(self):
+        # The extraction's tie-breaks must not depend on set or dict
+        # order, so every process compiles the same program.
+        script = (
+            "from repro.lgca.bitplane import BitplaneKernel\n"
+            "from repro.lgca.fhp import FHPModel\n"
+            "from repro.lgca.hpp import HPPModel\n"
+            "import numpy as np\n"
+            "solid = np.zeros((2, 64), dtype=bool); solid[1, 3] = True\n"
+            "for model in (HPPModel(2, 64), FHPModel(2, 64),\n"
+            "              FHPModel(2, 64, rest_particles=True),\n"
+            "              FHPModel(2, 64, rest_particles=True, saturated=True)):\n"
+            "    for mask in (None, solid):\n"
+            "        net = BitplaneKernel(model, obstacles=mask).network\n"
+            "        print(net.num_temps, [(f.__name__, a, b, d) for f, a, b, d in net.ops])\n"
+        )
+        src = str(Path(bitplane.__file__).parents[2])
+        programs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "4242")
+        }
+        assert len(programs) == 1
 
     def test_obstacles_add_the_bounce_ops(self):
         model = _fhp(4, 64, "fhp7")

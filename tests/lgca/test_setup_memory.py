@@ -1,16 +1,21 @@
-"""Set-up memory of the reference model and the SPA engine.
+"""Set-up memory of the reference model and the SPA engine, and the
+memory of bit-plane conversion.
 
 Propagation is slice shifts of channel planes, so building a model or an
-engine keeps no per-site index table.  ``tracemalloc`` sees numpy's
-array buffers, so its traced peak is the bound checked here.  The
-steady-state bound of every hot path is ``tests/test_hot_paths.py``.
+engine keeps no per-site index table, and packing or unpacking planes
+works in row blocks.  ``tracemalloc`` sees numpy's array buffers, so its
+traced peak is the bound checked here.  The steady-state bound of every
+hot path is ``tests/test_hot_paths.py``.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import machines
+from repro.lgca.backends import BitplaneStepper
+from repro.lgca.bitplane import pack_state, unpack_state
 from repro.lgca.fhp import FHPModel
 
 MIB = 1 << 20
@@ -42,3 +47,31 @@ def test_spa_engine_set_up_at_1024():
         )
     )
     assert peak < 32 * MIB, f"SPA set-up traced {peak / MIB:.1f} MiB"
+
+
+class TestConversionMemory:
+    """Conversions take their output plus one row block, not C bytes a site."""
+
+    @pytest.fixture(params=[(2048, 2048, 7), (1024, 2048, 6)], ids=["fhp7", "fhp6-slab"])
+    def field(self, request):
+        rows, cols, channels = request.param
+        rng = np.random.default_rng(rows)
+        state = rng.integers(0, 1 << channels, size=(rows, cols), dtype=np.uint8)
+        return state, channels
+
+    def test_pack_and_unpack(self, field):
+        state, channels = field
+        planes = pack_state(state, channels)
+        assert traced_peak(lambda: pack_state(state, channels)) < planes.nbytes + MIB
+        assert traced_peak(lambda: unpack_state(planes, state.shape[1])) < state.nbytes + MIB
+
+    def test_stepper_packs_into_its_planes(self, field):
+        state, channels = field
+        rows, cols = state.shape
+        stepper = BitplaneStepper(FHPModel(rows, cols, rest_particles=channels == 7))
+        assert traced_peak(lambda: stepper.load(state)) < MIB
+        assert traced_peak(lambda: stepper.write_rows(8, state[: rows // 2])) < MIB
+        assert traced_peak(lambda: stepper.read_rows(0, rows)) < state.nbytes + MIB
+        expected = state.copy()
+        expected[8 : 8 + rows // 2] = state[: rows // 2]
+        assert np.array_equal(stepper.read_rows(0, rows), expected)

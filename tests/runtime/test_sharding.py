@@ -311,9 +311,9 @@ class TestResidentShard:
         converted = []
         pack, unpack = bitplane.pack_state, bitplane.unpack_state
 
-        def counting_pack(state, num_channels):
+        def counting_pack(state, num_channels, out=None):
             converted.append(("pack", state.shape[0]))
-            return pack(state, num_channels)
+            return pack(state, num_channels, out=out)
 
         def counting_unpack(planes, cols, out=None):
             converted.append(("unpack", planes.shape[1]))
