@@ -7,11 +7,13 @@ particle into ``(r, c)`` — i.e. apply the data dependency
 ``v(a, t+1) = f(N(a), t)`` of section 3 with the neighborhood expressed
 as *stream offsets*.
 
-:class:`StreamStencil` precomputes those offsets for a model (HPP's
-orthogonal stencil, FHP's parity-dependent hexagonal stencil, or a 1-D
-CA), and :class:`SiteUpdateRule` bundles the collision step with the
-stencil.  Both the tick-accurate and the vectorized stage
-implementations consume these, so they cannot drift apart.
+:class:`StreamStencil` holds those offsets for a frame: :func:`make_rule`
+copies them from the model's :class:`repro.lgca.model.Stencil` (HPP's
+orthogonal one, FHP's parity-dependent hexagonal one alike) and takes
+the collision from its table pair, so one path builds every gas's rule.
+:class:`SiteUpdateRule` bundles the collision step with the stencil.
+Both the tick-accurate and the vectorized stage implementations consume
+these, so they cannot drift apart.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.lgca.fhp import (
-    FHPModel,
-    _COL_OFFSET_EVEN,
-    _COL_OFFSET_ODD,
-    _ROW_OFFSET,
-    _chiral_lookup,
-)
-from repro.lgca.hpp import HPPModel, HPP_OFFSETS
+from repro.lgca.model import TableModel, chiral_lookup
 from repro.util.validation import check_positive
 
 __all__ = ["StreamStencil", "SiteUpdateRule", "PostCollideHook", "make_rule"]
@@ -116,8 +111,6 @@ class SiteUpdateRule:
 
     Attributes
     ----------
-    name:
-        e.g. ``"fhp6"``.
     num_channels:
         Total state bits (moving + rest).
     stencil:
@@ -131,7 +124,6 @@ class SiteUpdateRule:
         allocating; see :class:`_TableCollide`.
     """
 
-    name: str
     num_channels: int
     stencil: StreamStencil
     collide: Callable[..., np.ndarray]
@@ -149,8 +141,8 @@ def _read_only(a: object) -> bool:
 class _TableCollide:
     """A PE's collision: one lookup per site in a verified table.
 
-    ``lookup`` holds ``2^C`` entries (one chirality) or ``2·2^C`` (FHP's
-    two, see :func:`repro.lgca.fhp._chiral_lookup`); a site's index is
+    ``lookup`` holds both chiralities' ``2·2^C`` entries (see
+    :func:`repro.lgca.model.chiral_lookup`); a site's index is
     ``state | left << C``, where ``left`` is 0, 1, or for ``"alternate"``
     the parity of ``r + c + t``.
 
@@ -213,67 +205,35 @@ class _TableCollide:
         return np.take(self._lookup(out.dtype), self._index, out=out, mode="clip")
 
 
-def _fhp_stream_stencil(rows: int, cols: int, rest: bool) -> StreamStencil:
-    return StreamStencil(
-        rows=rows,
-        cols=cols,
-        row_offsets=tuple(_ROW_OFFSET),
-        col_offsets_even=tuple(_COL_OFFSET_EVEN),
-        col_offsets_odd=tuple(_COL_OFFSET_ODD),
-        self_channels=(6,) if rest else (),
-    )
-
-
-def _hpp_stream_stencil(rows: int, cols: int) -> StreamStencil:
-    drs = tuple(dr for dr, _ in HPP_OFFSETS)
-    dcs = tuple(dc for _, dc in HPP_OFFSETS)
-    return StreamStencil(
-        rows=rows,
-        cols=cols,
-        row_offsets=drs,
-        col_offsets_even=dcs,
-        col_offsets_odd=dcs,
-    )
-
-
-def make_rule(model: FHPModel | HPPModel) -> SiteUpdateRule:
+def make_rule(model: TableModel) -> SiteUpdateRule:
     """Build the PE rule for a reference model (engines never re-derive
-    physics — they reuse the verified collision tables).
+    physics — they reuse the model's stencil and verified collision
+    tables).
 
     Fault injection happens downstream of the rule, at
     :attr:`repro.engines.streaming_core.PipelineStage.post_collide`.
     """
-    if isinstance(model, FHPModel):
-        if model.boundary != "null":
-            raise ValueError(
-                "streamed engines implement null boundaries; "
-                f"model has boundary={model.boundary!r}"
-            )
-        if model.chirality == "random":
-            raise ValueError("streamed engines require deterministic chirality")
-        return SiteUpdateRule(
-            name="fhp7" if model.rest_particles else "fhp6",
-            num_channels=model.num_channels,
-            stencil=_fhp_stream_stencil(model.rows, model.cols, model.rest_particles),
-            collide=_TableCollide(
-                _chiral_lookup(*model.collision_tables),
-                model.num_channels,
-                model.chirality,
-            ),
+    if not isinstance(model, TableModel):
+        raise TypeError(f"no PE rule for model type {type(model).__name__}")
+    if model.boundary != "null":
+        raise ValueError(
+            "streamed engines implement null boundaries; "
+            f"model has boundary={model.boundary!r}"
         )
-    if isinstance(model, HPPModel):
-        if model.boundary != "null":
-            raise ValueError(
-                "streamed engines implement null boundaries; "
-                f"model has boundary={model.boundary!r}"
-            )
-        return SiteUpdateRule(
-            name="hpp",
-            num_channels=4,
-            stencil=_hpp_stream_stencil(model.rows, model.cols),
-            # One table half: the fixed "right" offset, 0, selects it.
-            collide=_TableCollide(
-                model.collision_table.table.astype(np.uint8), 4, "right"
-            ),
-        )
-    raise TypeError(f"no PE rule for model type {type(model).__name__}")
+    if model.chirality == "random":
+        raise ValueError("streamed engines require deterministic chirality")
+    stencil = model.stencil
+    return SiteUpdateRule(
+        num_channels=model.num_channels,
+        stencil=StreamStencil(
+            rows=model.rows,
+            cols=model.cols,
+            row_offsets=stencil.row_offsets,
+            col_offsets_even=stencil.col_offsets_even,
+            col_offsets_odd=stencil.col_offsets_odd,
+            self_channels=tuple(range(stencil.num_moving, model.num_channels)),
+        ),
+        collide=_TableCollide(
+            chiral_lookup(*model.collision_tables), model.num_channels, model.chirality
+        ),
+    )

@@ -13,9 +13,9 @@ LGCA kernels use the padding route (``np.pad`` semantics); the pebbling
 computation-graph builder uses index resolution.
 
 :func:`shift_plane_into` is the propagation step itself under a periodic
-or null boundary: the HPP and FHP reference models and the engines' PE
-stage all move their channel planes with it, by slice copies, so no
-per-site index table is ever built.
+or null boundary: the reference model (:class:`repro.lgca.model.TableModel`,
+HPP and FHP alike) and the engines' PE stage move their channel planes
+with it, by slice copies, so no per-site index table is ever built.
 """
 
 from __future__ import annotations

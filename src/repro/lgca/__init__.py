@@ -8,6 +8,11 @@ paper builds its engines for:
 * :mod:`repro.lgca.collision` — collision-rule tables with machine-checked
   mass and momentum conservation (the "physically plausible laws" of
   section 2).
+* :mod:`repro.lgca.model` — the one lattice-gas model,
+  :class:`~repro.lgca.model.TableModel`: a propagation
+  :class:`~repro.lgca.model.Stencil` plus a collision-table pair, with
+  the only collide, propagate, wall and chirality code.  HPP and FHP
+  are data for it:
 * :mod:`repro.lgca.hpp` — the HPP model [Hardy, Pomeau, de Pazzis 1973]:
   4-velocity orthogonal lattice gas (anisotropic).
 * :mod:`repro.lgca.fhp` — the FHP model [Frisch, Hasslacher, Pomeau 1986]:

@@ -29,7 +29,7 @@ __all__ = ["LatticeGasAutomaton", "ObstacleMap", "bounce_back_table"]
 
 
 class SiteModel(Protocol):
-    """The kernel interface shared by HPPModel and FHPModel."""
+    """The kernel interface of :class:`repro.lgca.model.TableModel`."""
 
     rows: int
     cols: int
@@ -94,7 +94,8 @@ class LatticeGasAutomaton:
     Parameters
     ----------
     model:
-        An :class:`repro.lgca.hpp.HPPModel` or :class:`repro.lgca.fhp.FHPModel`.
+        A :class:`repro.lgca.model.TableModel`: an
+        :class:`repro.lgca.hpp.HPPModel` or :class:`repro.lgca.fhp.FHPModel`.
     state:
         Initial site-state field, shape ``(model.rows, model.cols)``.
     obstacles:

@@ -22,7 +22,9 @@ channel as ``in ^ flip``.  The kernel runs that program over
 cache-sized row blocks; construction re-checks it by running the same
 program over all ``2^C`` states (:func:`verify_plane_logic`).  Any
 conserving rule set — HPP, the FHP chirality variants, the
-collision-saturated tables — compiles this way.
+collision-saturated tables — compiles this way.  Propagation is one
+loop over the model's :class:`repro.lgca.model.Stencil`, so the kernel
+never asks which gas it runs.
 
 Storage layout: bit ``j`` of word ``w`` of row ``r`` in a plane is lattice
 site ``(r, 64*w + j)``.  Bits at column positions ``>= cols`` (the tail
@@ -41,13 +43,7 @@ import numpy as np
 
 from repro.lgca.bits import opposite_channels
 from repro.lgca.collision import CollisionTable
-from repro.lgca.fhp import (
-    _COL_OFFSET_EVEN,
-    _COL_OFFSET_ODD,
-    _ROW_OFFSET,
-    FHPModel,
-)
-from repro.lgca.hpp import HPP_OFFSETS, HPPModel
+from repro.lgca.model import TableModel
 
 __all__ = [
     "WORD_BITS",
@@ -883,12 +879,11 @@ def _shift_rows_into(
 class BitplaneKernel:
     """Bit-plane collide/propagate kernels compiled from a reference model.
 
-    Wraps an :class:`repro.lgca.hpp.HPPModel` or
-    :class:`repro.lgca.fhp.FHPModel` (reusing its *verified* collision
-    tables, boundary setting, and chirality policy) and evolves states
-    held as ``(C, rows, W)`` uint64 bit-planes.  All working storage is
-    preallocated at construction, so :meth:`step_into` performs no array
-    allocation in steady state.
+    Wraps a :class:`repro.lgca.model.TableModel` (HPP or FHP), reusing
+    its *verified* collision tables, stencil, boundary setting and
+    chirality policy, and evolves states held as ``(C, rows, W)`` uint64
+    bit-planes.  All working storage is preallocated at construction, so
+    :meth:`step_into` performs no array allocation in steady state.
 
     Parameters
     ----------
@@ -905,8 +900,8 @@ class BitplaneKernel:
         obstacle bounce-back included.
     """
 
-    def __init__(self, model: HPPModel | FHPModel, obstacles: object = None):
-        if not isinstance(model, (HPPModel, FHPModel)):
+    def __init__(self, model: TableModel, obstacles: object = None):
+        if not isinstance(model, TableModel):
             raise TypeError(
                 f"no bit-plane kernel for model type {type(model).__name__}"
             )
@@ -920,20 +915,14 @@ class BitplaneKernel:
         shape = (rows, w)
 
         # -- collision terms ----------------------------------------------------
+        left, right = model.collision_tables
         self._chirality: str | None = None
-        if isinstance(model, FHPModel):
-            left, right = model.collision_tables
-            if model.chirality in ("left", "right"):
-                left = right = left if model.chirality == "left" else right
-                terms = (flip_terms(left), (), ())
-            else:
-                self._chirality = model.chirality
-                terms = split_chirality_terms(left, right)
-            self._kind = "fhp"
-        else:
-            left = right = model.collision_table
+        if model.chirality in ("left", "right"):
+            left = right = left if model.chirality == "left" else right
             terms = (flip_terms(left), (), ())
-            self._kind = "hpp"
+        else:
+            self._chirality = model.chirality
+            terms = split_chirality_terms(left, right)
 
         # -- masks -------------------------------------------------------------
         if self._chirality == "alternate":
@@ -960,15 +949,11 @@ class BitplaneKernel:
         verify_plane_logic(left, self.network, right)
         self._temps = self.network.alloc_temps(rows, w)
 
-        if self._kind == "fhp" and self.boundary == "reflecting":
-            self._tgt_invalid = [pack_plane(m) for m in model._tgt_invalid]
-        if self._kind == "hpp" and self.boundary == "reflecting":
-            first_col = np.zeros((rows, self.cols), dtype=np.uint8)
-            first_col[:, 0] = 1
-            last_col = np.zeros((rows, self.cols), dtype=np.uint8)
-            last_col[:, -1] = 1
-            self._first_col = pack_plane(first_col)
-            self._last_col = pack_plane(last_col)
+        if self.boundary == "reflecting":
+            # (packed bounce mask, opposite channel) per moving channel
+            self._bounce = list(
+                zip(map(pack_plane, model._bounce), opposite_channels(self.num_channels))
+            )
 
         # -- preallocated working storage -------------------------------------
         self._scratch = np.empty(shape, dtype=np.uint64)
@@ -1003,7 +988,7 @@ class BitplaneKernel:
         assert self._chirality == "random"
         # The model's draw is already in plane layout: it is the left
         # mask.  random_raw has no out=, so it is a fresh 1 bit per site.
-        left = self.model.chirality_words(t)  # type: ignore[union-attr]
+        left = self.model.chirality_words(t)
         return left, _complement_into(left, self.cols, self._rand_right)
 
     def collide_into(
@@ -1034,62 +1019,39 @@ class BitplaneKernel:
     # -- propagation -----------------------------------------------------------
 
     def propagate_into(self, planes_in: np.ndarray, planes_out: np.ndarray) -> None:
-        """Word-shift propagation under the model's boundary condition.
+        """Word-shift propagation along the model's stencil and boundary.
 
+        The word-level counterpart of
+        :func:`repro.lattice.boundary.shift_plane_into`, channel by
+        channel: a zero shift is skipped, each row interleave is
+        column-shifted by its own offset (the shifts are row-local), and
+        the rows are moved after.  Rest channels are copied, and
+        reflecting walls bounce what would leave the grid.
         ``planes_out`` must not alias ``planes_in``.
         """
-        if self._kind == "hpp":
-            self._propagate_hpp(planes_in, planes_out)
-        else:
-            self._propagate_fhp(planes_in, planes_out)
-
-    def _propagate_hpp(self, planes_in: np.ndarray, planes_out: np.ndarray) -> None:
         periodic = self.boundary == "periodic"
-        for ch, (dr, dc) in enumerate(HPP_OFFSETS):
-            if dc != 0:
-                _shift_cols_into(
-                    planes_in[ch], planes_out[ch], dc, self.cols, periodic, self._carry
-                )
-            else:
-                _shift_rows_into(planes_in[ch], planes_out[ch], dr, periodic)
-        if self.boundary == "reflecting":
-            scratch = self._scratch
-            # +x at the right wall returns as -x (and so on around).
-            np.bitwise_and(planes_in[0], self._last_col, out=scratch)
-            planes_out[2] |= scratch
-            np.bitwise_and(planes_in[2], self._first_col, out=scratch)
-            planes_out[0] |= scratch
-            planes_out[3][0, :] |= planes_in[1][0, :]
-            planes_out[1][-1, :] |= planes_in[3][-1, :]
-
-    def _propagate_fhp(self, planes_in: np.ndarray, planes_out: np.ndarray) -> None:
-        periodic = self.boundary == "periodic"
-        stage, carry = self._stage, self._carry
-        for ch in range(6):
-            dr = _ROW_OFFSET[ch]
-            dc_even = _COL_OFFSET_EVEN[ch]
-            dc_odd = _COL_OFFSET_ODD[ch]
-            src = planes_in[ch]
+        cols, stage, carry = self.cols, self._stage, self._carry
+        stencil = self.model.stencil
+        for ch, (dr, dc_even, dc_odd) in enumerate(stencil.moves):
+            src, dst = planes_in[ch], planes_out[ch]
+            if dc_even == dc_odd == 0:
+                _shift_rows_into(src, dst, dr, periodic)
+                continue
+            mid = dst if dr == 0 else stage
             if dc_even == dc_odd:
-                _shift_cols_into(src, stage, dc_even, self.cols, periodic, carry)
+                _shift_cols_into(src, mid, dc_even, cols, periodic, carry)
             else:
-                # Column offset depends on the *source* row's parity, so
-                # shift the even/odd row interleaves separately (the
-                # shifts are row-local) before moving rows.
-                _shift_cols_into(
-                    src[0::2], stage[0::2], dc_even, self.cols, periodic, carry[0::2]
-                )
-                _shift_cols_into(
-                    src[1::2], stage[1::2], dc_odd, self.cols, periodic, carry[1::2]
-                )
-            _shift_rows_into(stage, planes_out[ch], dr, periodic)
-        if self.num_channels == 7:
-            np.copyto(planes_out[6], planes_in[6])
+                _shift_cols_into(src[0::2], mid[0::2], dc_even, cols, periodic, carry[0::2])
+                _shift_cols_into(src[1::2], mid[1::2], dc_odd, cols, periodic, carry[1::2])
+            if dr != 0:
+                _shift_rows_into(mid, dst, dr, periodic)
+        moving = stencil.num_moving
+        np.copyto(planes_out[moving:], planes_in[moving:])  # rest particles stay put
         if self.boundary == "reflecting":
             scratch = self._scratch
-            for ch in range(6):
-                np.bitwise_and(planes_in[ch], self._tgt_invalid[ch], out=scratch)
-                planes_out[(ch + 3) % 6] |= scratch
+            for ch, (mask, opposite) in enumerate(self._bounce):
+                np.bitwise_and(planes_in[ch], mask, out=scratch)
+                planes_out[opposite] |= scratch
 
     # -- full generation -------------------------------------------------------
 

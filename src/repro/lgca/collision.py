@@ -182,7 +182,7 @@ class CollisionTable:
         ``np.take`` first copies any index array that is not platform-int
         (``np.intp``) to one, 8 bytes per site for a ``uint8`` field.
         Steady-state kernels therefore index through a preallocated
-        ``np.intp`` buffer themselves (:meth:`repro.lgca.fhp.FHPModel.collide`).
+        ``np.intp`` buffer themselves (:meth:`repro.lgca.model.TableModel.collide`).
         """
         if np.isscalar(states):
             return int(self.table[int(states)])

@@ -10,9 +10,21 @@ exactly by shortest-path search over game configurations — enough to
 * calibrate how far the constructive schedules sit from true optimal,
 * sandwich the Lemma 1/2 lower bound from above with the real optimum.
 
-The search is 0-1 Dijkstra over states ``(red set, blue set)`` encoded
-as bitmasks: rule-1 removals and rule-4 computations cost 0, rule-2/3
-I/O moves cost 1.  Two standard prunings keep it exact:
+The search is A* over states ``(red set, blue set)`` encoded as
+bitmasks: rule-1 removals and rule-4 computations cost 0, rule-2/3 I/O
+moves cost 1.  The heap is ordered by ``cost + h``, where ``h`` is the
+number of outputs not yet blue.  ``h`` is *admissible*: every output
+that is not blue still needs its own rule-3 write, which costs 1, so
+``h`` never exceeds the remaining cost.  It is also *consistent*: blue
+pebbles are never removed, and only a rule-3 write adds one, so a move
+of cost 0 (rules 1, 4) or a rule-2 read (cost 1) leaves ``h``
+unchanged, and a rule-3 write (cost 1) lowers it by at most 1; every
+move therefore has ``h(s) <= cost(s, s') + h(s')``.  With a consistent
+heuristic the first goal state popped is optimal, exactly as in
+uniform-cost search (ties between equal ``cost + h`` may go either
+way), while states whose estimate exceeds the optimum are never
+expanded.  Two standard prunings keep the state space small and the
+search exact:
 
 * blue pebbles are never removed (removing one can never reduce I/O);
 * a red pebble is only removed when the budget forces it (removal is
@@ -99,17 +111,16 @@ def optimal_pebbling(graph: ComputationGraph, storage: int) -> OptimalPebbling:
     for v in graph.inputs():
         inputs_mask |= _bit(int(v))
 
-    all_mask = (1 << n) - 1
     start = (0, inputs_mask)  # (red, blue)
     dist: dict[tuple[int, int], int] = {start: 0}
-    heap: list[tuple[int, int, int]] = [(0, 0, inputs_mask)]
+    # (cost + h, -cost, red, blue), h = outputs not yet blue.  Among
+    # equal estimates the costlier state, nearer a goal, goes first.
+    heap = [(outputs_mask.bit_count(), 0, 0, inputs_mask)]
     expanded = 0
 
-    def popcount(x: int) -> int:
-        return x.bit_count()
-
     while heap:
-        cost, red, blue = heapq.heappop(heap)
+        _, neg_cost, red, blue = heapq.heappop(heap)
+        cost = -neg_cost
         if dist.get((red, blue), -1) != cost:
             continue
         if blue & outputs_mask == outputs_mask:
@@ -117,13 +128,14 @@ def optimal_pebbling(graph: ComputationGraph, storage: int) -> OptimalPebbling:
                 io_moves=cost, storage=storage, states_expanded=expanded
             )
         expanded += 1
-        red_count = popcount(red)
+        red_count = red.bit_count()
 
         def push(nred: int, nblue: int, ncost: int) -> None:
             key = (nred, nblue)
             if dist.get(key, 1 << 60) > ncost:
                 dist[key] = ncost
-                heapq.heappush(heap, (ncost, nred, nblue))
+                h = (outputs_mask & ~nblue).bit_count()
+                heapq.heappush(heap, (ncost + h, -ncost, nred, nblue))
 
         # Rule 4 (free): compute any vertex whose preds are all red.
         for v in range(n):

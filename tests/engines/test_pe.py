@@ -10,14 +10,14 @@ from repro.lgca.hpp import HPPModel
 
 class TestStreamStencil:
     def _hex(self, rows=6, cols=8):
-        from repro.lgca.fhp import _COL_OFFSET_EVEN, _COL_OFFSET_ODD, _ROW_OFFSET
+        from repro.lgca.fhp import FHP_STENCIL
 
         return StreamStencil(
             rows=rows,
             cols=cols,
-            row_offsets=tuple(_ROW_OFFSET),
-            col_offsets_even=tuple(_COL_OFFSET_EVEN),
-            col_offsets_odd=tuple(_COL_OFFSET_ODD),
+            row_offsets=FHP_STENCIL.row_offsets,
+            col_offsets_even=FHP_STENCIL.col_offsets_even,
+            col_offsets_odd=FHP_STENCIL.col_offsets_odd,
         )
 
     def test_window_reach_is_cols_plus_one(self):
@@ -53,20 +53,17 @@ class TestMakeRule:
     def test_fhp_rule_metadata(self):
         m = FHPModel(6, 8, boundary="null")
         rule = make_rule(m)
-        assert rule.name == "fhp6"
         assert rule.num_channels == 6
         assert rule.stencil.self_channels == ()
 
     def test_fhp7_rest_channel(self):
         m = FHPModel(6, 8, boundary="null", rest_particles=True)
         rule = make_rule(m)
-        assert rule.name == "fhp7"
         assert rule.stencil.self_channels == (6,)
 
     def test_hpp_rule(self):
         m = HPPModel(4, 4, boundary="null")
         rule = make_rule(m)
-        assert rule.name == "hpp"
         assert rule.stencil.window_reach() == 4
 
     def test_rejects_periodic_model(self):

@@ -6,12 +6,14 @@ and the pebbling graph each encode the lattice neighborhoods separately
 from it).  These tests pin them to each other.
 """
 
+import math
+
 import numpy as np
 
 from repro.engines.pe import make_rule
 from repro.lattice.geometry import HexagonalLattice, OrthogonalLattice
 from repro.lgca.fhp import FHPModel
-from repro.lgca.hpp import HPPModel, HPP_OFFSETS
+from repro.lgca.hpp import HPPModel
 from repro.pebbling.graph import ComputationGraph
 
 
@@ -52,13 +54,33 @@ class TestFHPGeometryAgreement:
 
 class TestHPPGeometryAgreement:
     def test_offsets_match_velocities(self):
-        """Storage offsets and physical velocities agree: +x moves +col,
-        +y moves -row."""
-        model = HPPModel(4, 4)
-        for ch, (dr, dc) in enumerate(HPP_OFFSETS):
-            vx, vy = model.velocities[ch]
-            assert dc == int(vx)
-            assert dr == -int(vy)
+        """Every model's stencil moves each channel by its velocity.
+
+        Site ``(r, c)`` sits at ``x = c + shift·(r odd)``, ``y = -pitch·r``:
+        the square grid (shift 0, pitch 1) for HPP and the offset-hex
+        grid (odd rows half a cell right, pitch sqrt(3)/2) for FHP.  From
+        an even and an odd source row, the physical step of ``(dr, dc)``
+        must equal the channel's velocity; channels past the stencil
+        rest and must have zero velocity."""
+        hex_pitch = math.sqrt(3) / 2
+        layouts = [
+            (HPPModel(4, 4), 0.0, 1.0),
+            (FHPModel(4, 4), 0.5, hex_pitch),
+            (FHPModel(4, 4, rest_particles=True), 0.5, hex_pitch),
+        ]
+        for model, shift, pitch in layouts:
+
+            def position(r, c):
+                return np.array([c + shift * (r % 2), -pitch * r])
+
+            stencil = model.stencil
+            velocities = model.velocities
+            for r in (2, 3):  # an even and an odd source row
+                col_offsets = stencil.col_offsets_odd if r % 2 else stencil.col_offsets_even
+                for ch, (dr, dc) in enumerate(zip(stencil.row_offsets, col_offsets)):
+                    step = position(r + dr, 2 + dc) - position(r, 2)
+                    assert np.allclose(step, velocities[ch]), (model, ch, r)
+            assert np.all(velocities[stencil.num_moving :] == 0)
 
 
 class TestGraphMatchesModelDependencies:

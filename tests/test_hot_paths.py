@@ -223,6 +223,11 @@ CASES = [
         id="ReferenceStepper.advance-fhp7-reflecting-obstacle",
     ),
     pytest.param(_stepper("reference", "hpp"), 0, id="ReferenceStepper.advance-hpp-periodic"),
+    pytest.param(
+        _stepper("reference", "hpp", boundary="reflecting"),
+        0,
+        id="ReferenceStepper.advance-hpp-reflecting",
+    ),
     pytest.param(_shard("bitplane", "fhp7"), 0, id="ShardRunner.step-bitplane-fhp7"),
     pytest.param(_shard("reference", "fhp6"), 0, id="ShardRunner.step-reference-fhp6"),
     pytest.param(_stage("fhp6"), 0, id="PipelineStage.process-fhp6-null"),
